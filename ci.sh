@@ -48,6 +48,11 @@ cargo test -q --offline -p rnl --test shard
 # while paths are healthy, seeded-cut failover within the bounded
 # window, zero frames lost in accounting, failback after the heal.
 cargo test -q --offline -p rnl --test mesh
+# Zero-allocation proofs for the relay core: plain and template-
+# compressed data frames (one test per file: the allocation count is
+# process-global).
+cargo test -q --offline -p rnl-server --test alloc_relay
+cargo test -q --offline -p rnl-server --test alloc_relay_compressed
 # Perf-regression gate: prove the comparator bites, then check the six
 # deterministic virtual-clock workloads against the BENCH_*.json
 # baselines at the repo root (regenerate deliberately with

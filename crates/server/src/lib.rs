@@ -337,11 +337,16 @@ pub struct RouteServer {
     batch: FrameBatch,
     /// Reusable session-id scratch for the poll loop.
     poll_ids: Vec<SessionId>,
+    /// Reusable `Data` body that compressed and owned frames are built
+    /// into before they take the relay core (taken out while in use).
+    relay_body: Vec<u8>,
+    /// Reusable `DataCompressed` body for the downstream re-encode.
+    tx_body: Vec<u8>,
     /// Reusable scratch for the per-poll backlog-policy derivation.
     deployed_ids: Vec<SessionId>,
-    /// Relay frames as borrowed framed bytes (patch destination in
-    /// place, never re-encode). On by default; the differential tests
-    /// flip it off to compare against the per-message legacy path.
+    /// Drain sessions in batches of borrowed frame bodies. On by
+    /// default; the differential tests flip it off to compare against
+    /// the per-message legacy drain (both feed the same relay core).
     fastpath: bool,
     /// The Fig. 7 L1 matrix switch, folded into the general relay: a
     /// wire whose endpoints both front the *same* RIS session is
@@ -547,6 +552,8 @@ impl RouteServer {
             wire_metrics: HashMap::new(),
             batch: FrameBatch::new(),
             poll_ids: Vec::new(),
+            relay_body: Vec::new(),
+            tx_body: Vec::new(),
             deployed_ids: Vec::new(),
             fastpath: true,
             l1: L1Switch::new(0),
@@ -595,9 +602,10 @@ impl RouteServer {
         self.compress_downstream = on;
     }
 
-    /// Toggle the zero-copy relay path. On by default; off routes every
-    /// frame through the owned per-message decode, which the
-    /// differential tests use as the reference behaviour.
+    /// Toggle the batched zero-copy drain. On by default; off decodes
+    /// every frame into an owned [`Msg`] first (the relay core after
+    /// that is the same), which the differential tests use as the
+    /// reference behaviour.
     pub fn set_fastpath(&mut self, on: bool) {
         self.fastpath = on;
     }
@@ -1195,6 +1203,14 @@ impl RouteServer {
             // Streams whose router vanished just stop producing effect.
             let _ = self.inject(router, port, frame, now);
         }
+        // One flush per live transport per tick: the relay burst and the
+        // generator above enqueued raw frames without pushing them to
+        // the wire.
+        for session in self.sessions.values_mut() {
+            if session.alive && session.transport.flush(now).is_err() {
+                session.alive = false;
+            }
+        }
         // Newly-dead sessions enter the flap grace window rather than
         // being reaped at first disconnect: the inventory, matrix and
         // reservation stay intact while the RIS supervisor redials.
@@ -1253,9 +1269,10 @@ impl RouteServer {
         }
     }
 
-    /// The pre-fastpath session drain: one owned [`Msg`] per frame.
-    /// Kept verbatim as the reference behaviour the differential tests
-    /// compare the zero-copy path against.
+    /// The pre-fastpath session drain: one owned [`Msg`] per frame,
+    /// each data frame re-encoded into the relay core. Kept as the
+    /// reference behaviour the differential tests compare the batched
+    /// drain against.
     fn poll_sessions_legacy(&mut self, now: Instant) {
         let ids: Vec<SessionId> = self.sessions.keys().copied().collect();
         for sid in ids {
@@ -1279,9 +1296,9 @@ impl RouteServer {
     }
 
     /// The batched session drain: each transport appends its
-    /// deliverable frames into the reusable [`FrameBatch`] in one call,
-    /// data frames relay as borrowed bytes, and every touched transport
-    /// is flushed once at the end of its burst instead of per message.
+    /// deliverable frames into the reusable [`FrameBatch`] in one call
+    /// and data frames relay as borrowed bytes; [`RouteServer::poll`]
+    /// flushes every transport once after the burst.
     fn poll_sessions_batched(&mut self, now: Instant) {
         // Both scratch buffers move out of `self` for the loop (the
         // handlers re-borrow `self` freely) and back in afterwards, so
@@ -1312,31 +1329,31 @@ impl RouteServer {
                 self.handle_frame(sid, &mut batch, i, now);
             }
         }
-        // One flush per live transport per tick: the relay burst above
-        // enqueued raw frames without pushing them to the wire.
-        for &sid in &ids {
-            if let Some(session) = self.sessions.get_mut(&sid) {
-                if session.alive && session.transport.flush(now).is_err() {
-                    session.alive = false;
-                }
-            }
-        }
         batch.clear();
         self.batch = batch;
         self.poll_ids = ids;
     }
 
-    /// Dispatch one received frame: uncompressed data frames take the
-    /// zero-copy relay; everything else (control traffic, compressed
-    /// data, or any relay that must re-encode) falls back to the owned
-    /// decode and [`RouteServer::handle_msg`]. A frame that fails the
-    /// owned decode kills the session, as a protocol error inside
+    /// Dispatch one received frame: data frames take the zero-copy
+    /// relay as borrowed bytes, compressed data frames inflate into the
+    /// server's scratch `Data` body and take the same relay, and
+    /// control traffic falls back to the owned decode and
+    /// [`RouteServer::handle_msg`]. A frame that fails the owned decode
+    /// kills the session, as a protocol error inside
     /// [`Transport::poll`] did on the legacy path.
     fn handle_frame(&mut self, sid: SessionId, batch: &mut FrameBatch, i: usize, now: Instant) {
         let Some(body) = batch.get_mut(i) else {
             return;
         };
-        if self.relay_fast(body, now) {
+        if Msg::peek_data(body).is_some() {
+            let mut perf = self.p_relay.scope();
+            perf.mark("decode"); // borrowed header peek: decode is ~free
+            self.admit_relay(now);
+            self.relay_fast(body, perf, now);
+            return;
+        }
+        if let Some(c) = Msg::peek_compressed(body) {
+            self.relay_compressed(c.router, c.port, c.span, c.payload, now);
             return;
         }
         match Msg::decode(body) {
@@ -1349,26 +1366,77 @@ impl RouteServer {
         }
     }
 
-    /// The zero-copy Fig. 4 relay: borrow-decode the data header in
-    /// place, resolve the destination over the L1 bridge or the dense
-    /// matrix, patch the destination into the same bytes, and forward
-    /// the frame without ever materializing a [`Msg`] or re-encoding.
-    /// Returns `false` when the frame is not an uncompressed data frame
-    /// relayable as-is (the caller falls back to the owned path).
-    fn relay_fast(&mut self, body: &mut [u8], now: Instant) -> bool {
-        if self.compress_downstream {
-            // Downstream compression re-encodes every frame; there is
-            // nothing zero-copy about that path.
-            return false;
+    /// Inflate one compressed data frame through its stream's template
+    /// ring into the scratch `Data` body and relay that. The `decode`
+    /// phase is marked after inflation, so it carries the decompress
+    /// time. A desynchronized or malformed stream counts the frame
+    /// unrouted as `decode-error`.
+    fn relay_compressed(
+        &mut self,
+        router: RouterId,
+        port: PortId,
+        span: Span,
+        encoded: &[u8],
+        now: Instant,
+    ) {
+        let mut perf = self.p_relay.scope();
+        self.admit_relay(now);
+        let mut body = std::mem::take(&mut self.relay_body);
+        Msg::begin_data_body(&mut body, false, router, port, span);
+        let inflated = self
+            .decompressors
+            .entry((router, port))
+            .or_default()
+            .decode_into(encoded, &mut body);
+        match inflated {
+            Ok(()) => {
+                Msg::finish_data_body(&mut body);
+                perf.mark("decode");
+                self.relay_fast(&mut body, perf, now);
+            }
+            // A desynchronized stream is a session-level fault; count
+            // the frame as unroutable and move on.
+            Err(_) => self.frame_unrouted(router, port, MissReason::DecodeError, span.trace, now),
         }
+        self.relay_body = body;
+    }
+
+    /// An owned frame from the legacy drain, built into the scratch
+    /// `Data` body and relayed through the same core.
+    fn relay_owned(
+        &mut self,
+        router: RouterId,
+        port: PortId,
+        span: Span,
+        frame: &[u8],
+        now: Instant,
+    ) {
+        let mut perf = self.p_relay.scope();
+        perf.mark("decode"); // uncompressed: decode is a no-op
+        self.admit_relay(now);
+        let mut body = std::mem::take(&mut self.relay_body);
+        Msg::begin_data_body(&mut body, false, router, port, span);
+        body.extend_from_slice(frame);
+        Msg::finish_data_body(&mut body);
+        self.relay_fast(&mut body, perf, now);
+        self.relay_body = body;
+    }
+
+    /// The one Fig. 4 relay core: borrow-decode the data header in
+    /// place, resolve the destination over the L1 bridge or the dense
+    /// matrix (or hand it to a cross-shard trunk), then forward the
+    /// frame with its destination patched into the same bytes — no
+    /// [`Msg`], no re-encode, and the transport flush deferred to the
+    /// end of the tick. Only downstream compression re-encodes, into
+    /// the scratch `DataCompressed` body. `body` must be a `Data` body;
+    /// `perf` is the relay scope with its `decode` phase already marked
+    /// and the frame already admitted.
+    fn relay_fast(&mut self, body: &mut [u8], mut perf: PerfScope, now: Instant) {
         let Some(data) = Msg::peek_data(body) else {
-            return false;
+            return;
         };
         let (src_router, src_port, span) = (data.router, data.port, data.span);
         let bytes = data.payload.len() as u64;
-        let mut perf = self.p_relay.scope();
-        perf.mark("decode"); // borrowed header peek: decode is ~free
-        self.admit_relay(now);
         self.journal.record(FrameEvent {
             trace: span.trace,
             t_us: now.as_micros(),
@@ -1424,7 +1492,7 @@ impl RouteServer {
                             now,
                         );
                     }
-                    return true;
+                    return;
                 }
             };
         self.journal.record(FrameEvent {
@@ -1484,9 +1552,27 @@ impl RouteServer {
                 })
                 .inc();
         }
-        let _ = Msg::patch_data_dest(body, dst_router, dst_port);
-        perf.mark("encode"); // in-place patch: encode never copies
-        match self.send_raw_to_router(dst_router, body, now) {
+        let outcome = if self.compress_downstream {
+            // §4 downstream compression: the relay's one re-encode.
+            let encoded = self
+                .compressors
+                .entry((dst_router, dst_port))
+                .or_default()
+                .encode(data.payload);
+            let mut tx = std::mem::take(&mut self.tx_body);
+            Msg::begin_data_body(&mut tx, true, dst_router, dst_port, span);
+            tx.extend_from_slice(&encoded);
+            Msg::finish_data_body(&mut tx);
+            perf.mark("encode");
+            let outcome = self.send_raw_to_router(dst_router, &tx, now);
+            self.tx_body = tx;
+            outcome
+        } else {
+            let _ = Msg::patch_data_dest(body, dst_router, dst_port);
+            perf.mark("encode"); // in-place patch: encode never copies
+            self.send_raw_to_router(dst_router, body, now)
+        };
+        match outcome {
             SendOutcome::Sent => {
                 self.m_frames_routed.inc();
                 self.journal.record(FrameEvent {
@@ -1508,14 +1594,14 @@ impl RouteServer {
                 );
             }
             SendOutcome::Queued => {
-                // Held in the replay buffer; the flush/shed counters
-                // settle its fate, exactly as on the owned path.
+                // Held in the replay buffer: neither routed nor
+                // unrouted yet; `rnl_server_replay_queued_total` and
+                // the flush/shed counters settle its fate.
             }
             SendOutcome::Gone => {
                 self.frame_unrouted(dst_router, dst_port, MissReason::NoSession, span.trace, now);
             }
         }
-        true
     }
 
     /// [`RouteServer::send_to_router`] for an already-encoded body: the
@@ -1875,37 +1961,13 @@ impl RouteServer {
                 port,
                 span,
                 frame,
-            } => {
-                let mut perf = self.p_relay.scope();
-                perf.mark("decode"); // uncompressed: decode is a no-op
-                self.admit_relay(now);
-                self.route_frame(router, port, span, frame, now, perf);
-            }
+            } => self.relay_owned(router, port, span, &frame, now),
             Msg::DataCompressed {
                 router,
                 port,
                 span,
                 encoded,
-            } => {
-                let mut perf = self.p_relay.scope();
-                self.admit_relay(now);
-                let frame = match self
-                    .decompressors
-                    .entry((router, port))
-                    .or_default()
-                    .decode(&encoded)
-                {
-                    Ok(frame) => frame,
-                    // A desynchronized stream is a session-level fault;
-                    // count the frame as unroutable and move on.
-                    Err(_) => {
-                        self.frame_unrouted(router, port, MissReason::DecodeError, span.trace, now);
-                        return;
-                    }
-                };
-                perf.mark("decode");
-                self.route_frame(router, port, span, frame, now, perf);
-            }
+            } => self.relay_compressed(router, port, span, &encoded, now),
             Msg::ConsoleReply { router, output } => {
                 // The round-trip completed; its deadline is met. Feed
                 // the issue-to-reply gap into the console quantile.
@@ -2030,157 +2092,6 @@ impl RouteServer {
         m
     }
 
-    /// The Fig. 4 packet path: unwrap → matrix lookup → wrap → forward.
-    /// `perf` is the relay profiling scope opened at message receipt
-    /// (its `decode` phase already marked); this marks `matrix` and
-    /// `encode` and records the total when it drops.
-    fn route_frame(
-        &mut self,
-        router: RouterId,
-        port: PortId,
-        span: Span,
-        frame: Vec<u8>,
-        now: Instant,
-        mut perf: PerfScope,
-    ) {
-        self.journal.record(FrameEvent {
-            trace: span.trace,
-            t_us: now.as_micros(),
-            hop: Hop::ServerRx,
-            router: router.0,
-            port: port.0,
-            bytes: frame.len() as u32,
-        });
-        self.captures
-            .tap(router, port, CaptureDir::FromPort, &frame, now);
-        let Some((dst_router, dst_port)) = self.matrix.lookup((router, port)) else {
-            // Cross-shard wire on the owned path: re-address and encode
-            // the frame for the trunk.
-            if let Some(&(dst_router, dst_port)) = self.remote_routes.get(&(router, port)) {
-                let body = Msg::Data {
-                    router: dst_router,
-                    port: dst_port,
-                    span,
-                    frame,
-                }
-                .encode();
-                self.queue_trunk_frame(dst_router, dst_port, body, span, now);
-            } else {
-                self.frame_unrouted(router, port, MissReason::NoMatrixEntry, span.trace, now);
-            }
-            return;
-        };
-        self.journal.record(FrameEvent {
-            trace: span.trace,
-            t_us: now.as_micros(),
-            hop: Hop::MatrixHit,
-            router: dst_router.0,
-            port: dst_port.0,
-            bytes: frame.len() as u32,
-        });
-        self.captures
-            .tap(dst_router, dst_port, CaptureDir::ToPort, &frame, now);
-        perf.mark("matrix");
-        let bytes = frame.len() as u64;
-        if self.mesh.is_meshed((router, port)) {
-            self.m_mesh_relay_fallback.inc();
-        }
-        self.m_bytes_relayed.add(bytes);
-        let wire = self.wire_metrics_for((router, port), (dst_router, dst_port));
-        wire.frames.inc();
-        wire.bytes.add(bytes);
-        if span.is_some() {
-            // Upstream leg latency: RIS ingress stamp → relay, on the
-            // shared virtual clock.
-            let latency_us = now.as_micros().saturating_sub(span.origin_us);
-            wire.latency_us.observe(latency_us);
-            self.m_relay_latency_q.observe(latency_us);
-            // Threshold pre-check: building a `SlowOp` allocates its
-            // phase vector, so only ops that will be captured pay it.
-            if self
-                .recorder
-                .threshold("relay")
-                .is_some_and(|t| latency_us >= t)
-            {
-                let captured = self.recorder.record_if_slow(SlowOp {
-                    class: "relay",
-                    trace: span.trace,
-                    router: dst_router.0,
-                    port: dst_port.0,
-                    at_us: now.as_micros(),
-                    total_us: latency_us,
-                    phases: vec![("tunnel-upstream", latency_us)],
-                });
-                if captured {
-                    self.m_slow_relay.inc();
-                }
-            }
-        }
-        if let Some(dep) = self.matrix.owner_of(router) {
-            let obs = &self.obs;
-            self.deployment_frames
-                .entry(dep)
-                .or_insert_with(|| {
-                    obs.counter(
-                        "rnl_server_deployment_frames_total",
-                        &[("deployment", &dep.0.to_string())],
-                    )
-                })
-                .inc();
-        }
-        let msg = if self.compress_downstream {
-            let encoded = self
-                .compressors
-                .entry((dst_router, dst_port))
-                .or_default()
-                .encode(&frame);
-            Msg::DataCompressed {
-                router: dst_router,
-                port: dst_port,
-                span,
-                encoded,
-            }
-        } else {
-            Msg::Data {
-                router: dst_router,
-                port: dst_port,
-                span,
-                frame,
-            }
-        };
-        perf.mark("encode");
-        match self.send_to_router(dst_router, msg, now) {
-            SendOutcome::Sent => {
-                self.m_frames_routed.inc();
-                self.journal.record(FrameEvent {
-                    trace: span.trace,
-                    t_us: now.as_micros(),
-                    hop: Hop::ServerTx,
-                    router: dst_router.0,
-                    port: dst_port.0,
-                    bytes: bytes as u32,
-                });
-            }
-            SendOutcome::Graced => {
-                self.frame_unrouted(
-                    dst_router,
-                    dst_port,
-                    MissReason::SessionGraced,
-                    span.trace,
-                    now,
-                );
-            }
-            SendOutcome::Queued => {
-                // Held in the replay buffer: neither routed nor
-                // unrouted yet; `rnl_server_replay_queued_total` and
-                // the flush/shed counters settle its fate.
-            }
-            SendOutcome::Gone => {
-                self.frame_unrouted(dst_router, dst_port, MissReason::NoSession, span.trace, now);
-            }
-        }
-    }
-
     fn send_to_router(&mut self, router: RouterId, msg: Msg, now: Instant) -> SendOutcome {
         let Some(sid) = self.inventory.session_of(router) else {
             return SendOutcome::Gone;
@@ -2193,7 +2104,15 @@ impl RouteServer {
         if session.graced_at.is_some() || !session.alive {
             return Self::hold_for_replay(session, cap, &queued, msg);
         }
-        match session.transport.send(&msg, now) {
+        // Data frames join the tick's burst and go out with the one
+        // flush at the end of the poll; control messages go out now.
+        let sent = match &msg {
+            Msg::Data { .. } | Msg::DataCompressed { .. } => {
+                session.transport.send_raw(&msg.encode(), now)
+            }
+            _ => session.transport.send(&msg, now),
+        };
+        match sent {
             Ok(()) => SendOutcome::Sent,
             Err(_) => SendOutcome::Gone,
         }
@@ -3118,6 +3037,60 @@ mod tests {
             1
         );
         assert_eq!(server.stats().frames_unrouted, 1);
+    }
+
+    /// Regression: compressed frames used to skip the Fig. 7 L1 probe
+    /// (only plain `Data` took the relay that has it), so a co-located
+    /// wire carrying RIS-compressed traffic never counted as bridged.
+    #[test]
+    fn compressed_frames_on_a_colocated_wire_ride_the_l1_bridge() {
+        let (mut server, mut ris, _r1, _r2) = two_host_lab();
+        ris.set_compression(true);
+        ris.device_mut(0)
+            .unwrap()
+            .console("ping 10.0.0.2 count 3", t(0));
+        run(&mut server, &mut ris, 0, 5000, 100);
+        let out = ris.device_mut(0).unwrap().console("show ping", t(5000));
+        assert!(out.contains("3 sent, 3 received"), "got: {out}");
+        assert!(
+            !server.decompressors.is_empty(),
+            "frames were not compressed"
+        );
+        let routed = server.stats().frames_routed;
+        assert!(routed >= 8, "{:?}", server.stats());
+        assert_eq!(server.frames_bridged(), routed);
+        // Each relay marked its `decode` phase once, after inflation.
+        let snap = server.obs().snapshot();
+        let phase = |p: &str| {
+            snap.quantile("rnl_perf_server_relay_ns", &[("phase", p)])
+                .map_or(0, |q| q.count)
+        };
+        assert_eq!(phase("decode"), routed);
+        assert_eq!(phase("total"), routed);
+    }
+
+    /// A stream whose server-side template ring is lost mid-flight is
+    /// desynchronized: on the batched drain its frames still count as
+    /// `reason="decode-error"`, and the session survives.
+    #[test]
+    fn desynchronized_compressed_stream_counts_decode_errors_when_batched() {
+        let (mut server, mut ris, _r1, _r2) = two_host_lab();
+        assert!(server.fastpath());
+        ris.set_compression(true);
+        ris.device_mut(0)
+            .unwrap()
+            .console("ping 10.0.0.2 count 5", t(0));
+        run(&mut server, &mut ris, 0, 1500, 100);
+        assert_eq!(server.stats().frames_unrouted, 0);
+        server.decompressors.clear();
+        run(&mut server, &mut ris, 1600, 6000, 100);
+        let decode_errors = server.obs().snapshot().counter(
+            "rnl_server_frames_unrouted_total",
+            &[("reason", "decode-error")],
+        );
+        assert!(decode_errors > 0, "{:?}", server.stats());
+        assert_eq!(server.stats().frames_unrouted, decode_errors);
+        assert!(server.sessions.values().all(|s| s.alive));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! identical to the legacy per-message path it replaced.
 //!
 //! Each scenario drives the *same* seeded workload — impaired links,
-//! scheduled fault windows, mixed data/heartbeat traffic — through two
-//! servers that differ only in [`RouteServer::set_fastpath`], then
+//! scheduled fault windows, mixed data/heartbeat traffic, plain or
+//! RIS-compressed upstream streams — through two servers that differ
+//! only in [`RouteServer::set_fastpath`], then
 //! compares everything either side can observe: the exact bytes every
 //! RIS endpoint received (which covers destinations, payloads and trace
 //! spans), the server's Fig. 4 hop journal, and the relay counters.
@@ -13,6 +14,7 @@ use rnl_net::time::{Duration, Instant};
 use rnl_obs::{FrameEvent, Span, TraceIdGen};
 use rnl_server::design::Design;
 use rnl_server::RouteServer;
+use rnl_tunnel::compress::Compressor;
 use rnl_tunnel::faults::{FaultKind, FaultPlan};
 use rnl_tunnel::impair::Impairment;
 use rnl_tunnel::msg::{ImageRegion, Msg, PortId, PortInfo, RegisterInfo, RouterId, RouterInfo};
@@ -37,6 +39,9 @@ struct Scenario {
     /// One hard cut at mid-run (graces session b; relayed frames are
     /// queued/shed through the replay path).
     cut: bool,
+    /// Site a template-compresses its upstream stream (§4), so frames
+    /// arrive as `DataCompressed` and inflate on the server.
+    compressed: bool,
 }
 
 /// Everything observable from one run.
@@ -70,6 +75,30 @@ fn register_info(pc: &str) -> RegisterInfo {
             }],
             console_com: None,
         }],
+    }
+}
+
+/// What a RIS puts on the tunnel for one captured frame: `Data`, or
+/// with `compressor` the stream's template encoding.
+fn upstream(
+    compressor: Option<&mut Compressor>,
+    router: RouterId,
+    span: Span,
+    frame: Vec<u8>,
+) -> Msg {
+    match compressor {
+        Some(c) => Msg::DataCompressed {
+            router,
+            port: PortId(0),
+            span,
+            encoded: c.encode(&frame),
+        },
+        None => Msg::Data {
+            router,
+            port: PortId(0),
+            span,
+            frame,
+        },
     }
 }
 
@@ -144,22 +173,23 @@ fn run(s: &Scenario, fastpath: bool) -> Observed {
     now = fault_start;
     let mut gen = TraceIdGen::new("diff");
     let frame = vec![0xA5u8; s.frame_len];
+    let mut compressor = s.compressed.then(Compressor::new);
     for i in 0..s.frames {
         now += Duration::from_micros(s.step_us);
         let span = Span {
             trace: gen.allocate(),
             origin_us: now.as_micros(),
         };
-        a.send(
-            &Msg::Data {
-                router: ra,
-                port: PortId(0),
-                span,
-                frame: frame.clone(),
-            },
-            now,
-        )
-        .expect("send");
+        let mut frame = frame.clone();
+        if s.compressed {
+            // A template stream: each frame differs in its sequence
+            // bytes, so the encoder mixes literals and deltas.
+            for (b, seq) in frame.iter_mut().zip((i as u32).to_be_bytes()) {
+                *b = seq;
+            }
+        }
+        a.send(&upstream(compressor.as_mut(), ra, span, frame), now)
+            .expect("send");
         if s.heartbeat_every > 0 && i % s.heartbeat_every == 0 {
             a.send(
                 &Msg::Heartbeat {
@@ -204,7 +234,7 @@ fn run(s: &Scenario, fastpath: bool) -> Observed {
 /// Two routers behind ONE session wired together: the fastpath serves
 /// this wire over the L1 bridge, and must still be byte-identical to
 /// the legacy matrix walk.
-fn run_colocated(seed: u64, frames: usize, fastpath: bool) -> (Observed, u64) {
+fn run_colocated(seed: u64, frames: usize, compressed: bool, fastpath: bool) -> (Observed, u64) {
     let mut server = RouteServer::new();
     server.set_fastpath(fastpath);
     server.set_enforce_reservations(false);
@@ -235,22 +265,16 @@ fn run_colocated(seed: u64, frames: usize, fastpath: bool) -> (Observed, u64) {
     server.deploy_design("colo", &design, now).expect("deploy");
     drain(&mut a, now, &mut rx_a);
     let mut gen = TraceIdGen::new("colo");
+    let mut compressor = compressed.then(Compressor::new);
     for i in 0..frames {
         now += Duration::from_micros(500);
         let span = Span {
             trace: gen.allocate(),
             origin_us: now.as_micros(),
         };
-        a.send(
-            &Msg::Data {
-                router: ids[0],
-                port: PortId(0),
-                span,
-                frame: vec![i as u8; 64],
-            },
-            now,
-        )
-        .expect("send");
+        let frame = vec![i as u8; 64];
+        a.send(&upstream(compressor.as_mut(), ids[0], span, frame), now)
+            .expect("send");
         server.poll(now);
         drain(&mut a, now, &mut rx_a);
     }
@@ -287,6 +311,7 @@ proptest! {
         heartbeat_every in 0usize..5,
         fault_windows in 0usize..4,
         cut in any::<bool>(),
+        compressed in any::<bool>(),
     ) {
         let scenario = Scenario {
             seed,
@@ -297,6 +322,7 @@ proptest! {
             heartbeat_every,
             fault_windows,
             cut,
+            compressed,
         };
         let fast = run(&scenario, true);
         let legacy = run(&scenario, false);
@@ -313,15 +339,18 @@ proptest! {
 
 #[test]
 fn colocated_wire_rides_l1_bridge_and_matches_legacy() {
-    let (fast, bridged) = run_colocated(0xd1ff, 50, true);
-    let (legacy, legacy_bridged) = run_colocated(0xd1ff, 50, false);
-    assert_eq!(fast, legacy, "L1-bridged relay diverges from legacy");
-    assert_eq!(legacy_bridged, 0, "legacy path must not touch the bridge");
-    assert!(
-        bridged >= 50,
-        "fastpath should serve the co-located wire over the L1 bridge, got {bridged}"
-    );
-    assert!(fast.frames_routed >= 50, "frames must still relay");
+    for compressed in [false, true] {
+        let (fast, bridged) = run_colocated(0xd1ff, 50, compressed, true);
+        let (legacy, legacy_bridged) = run_colocated(0xd1ff, 50, compressed, false);
+        assert_eq!(fast, legacy, "L1-bridged relay diverges from legacy");
+        // Both drains feed the one relay core, so both take the bridge.
+        assert_eq!(legacy_bridged, bridged, "drains disagree on the bridge");
+        assert!(
+            bridged >= 50,
+            "the co-located wire should ride the L1 bridge (compressed: {compressed}), got {bridged}"
+        );
+        assert!(fast.frames_routed >= 50, "frames must still relay");
+    }
 }
 
 /// Delivered frames arrive with the destination endpoint patched in —
@@ -337,6 +366,7 @@ fn fastpath_patches_destination_in_place() {
         heartbeat_every: 0,
         fault_windows: 0,
         cut: false,
+        compressed: false,
     };
     let fast = run(&scenario, true);
     let mut data_seen = 0;
@@ -350,4 +380,41 @@ fn fastpath_patches_destination_in_place() {
         }
     }
     assert_eq!(data_seen, 5);
+}
+
+/// A compressed upstream stream inflates on the server and relays as
+/// plain `Data`: every frame arrives at b with its original bytes, on
+/// both drains alike.
+#[test]
+fn compressed_upstream_relays_every_frame_inflated() {
+    let scenario = Scenario {
+        seed: 11,
+        impair: 0,
+        frames: 30,
+        frame_len: 64,
+        step_us: 500,
+        heartbeat_every: 0,
+        fault_windows: 0,
+        cut: false,
+        compressed: true,
+    };
+    let fast = run(&scenario, true);
+    let legacy = run(&scenario, false);
+    assert_eq!(fast, legacy, "compressed relay diverges between drains");
+    assert_eq!(fast.frames_routed, 30);
+    assert_eq!(fast.frames_unrouted, 0);
+    let payloads: Vec<Vec<u8>> = fast
+        .rx_b
+        .iter()
+        .filter_map(|bytes| match Msg::decode(bytes) {
+            Ok(Msg::Data { frame, .. }) => Some(frame),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(payloads.len(), 30);
+    for (i, frame) in payloads.iter().enumerate() {
+        let mut want = vec![0xA5u8; 64];
+        want[..4].copy_from_slice(&(i as u32).to_be_bytes());
+        assert_eq!(frame, &want, "frame {i} inflated wrong");
+    }
 }

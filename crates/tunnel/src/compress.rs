@@ -102,6 +102,51 @@ impl TemplateRing {
         }
         self.frames.push_front(frame);
     }
+
+    /// The buffer the next push will occupy: on a full ring, the slot
+    /// that push would evict (its allocation is recycled); otherwise a
+    /// fresh one.
+    fn take_slot(&mut self) -> Vec<u8> {
+        if self.frames.len() == RING_CAPACITY {
+            self.frames.pop_back().unwrap_or_default()
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// Walk a delta's patch table (`u16` count, then per patch `u16`
+/// offset, `u16` length and the bytes) against a frame of `frame_len`
+/// bytes, calling `apply` once per patch. Any truncation, overrun or
+/// trailing byte is `Malformed`. A clean walk with a no-op `apply` is
+/// the validation pass [`Decompressor::decode_into`] runs before it
+/// touches the ring.
+fn walk_patches(
+    table: &[u8],
+    frame_len: usize,
+    mut apply: impl FnMut(usize, &[u8]),
+) -> Result<(), CompressError> {
+    let Some((count, mut rest)) = table.split_first_chunk::<2>() else {
+        return Err(CompressError::Malformed);
+    };
+    for _ in 0..u16::from_be_bytes(*count) {
+        let Some((head, tail)) = rest.split_first_chunk::<4>() else {
+            return Err(CompressError::Malformed);
+        };
+        let offset = usize::from(u16::from_be_bytes([head[0], head[1]]));
+        let len = usize::from(u16::from_be_bytes([head[2], head[3]]));
+        if tail.len() < len || offset + len > frame_len {
+            return Err(CompressError::Malformed);
+        }
+        let (bytes, tail) = tail.split_at(len);
+        apply(offset, bytes);
+        rest = tail;
+    }
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(CompressError::Malformed)
+    }
 }
 
 /// Per-stream encoder.
@@ -189,44 +234,58 @@ impl Decompressor {
 
     /// Decode one encoded frame, updating the template ring.
     pub fn decode(&mut self, encoded: &[u8]) -> Result<Vec<u8>, CompressError> {
+        let mut frame = Vec::new();
+        self.decode_into(encoded, &mut frame)?;
+        Ok(frame)
+    }
+
+    /// Decode one encoded frame, appending it to `out`, and update the
+    /// template ring. The new template reuses the ring slot the push
+    /// evicts (a delta against that very slot patches it in place), so
+    /// once the ring is full and `out` has capacity nothing allocates.
+    /// The whole encoding is validated before anything is written: on
+    /// `Err`, neither `out` nor the ring has changed.
+    pub fn decode_into(&mut self, encoded: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
         let (&tag, rest) = encoded.split_first().ok_or(CompressError::Malformed)?;
-        let frame = match tag {
-            TAG_LITERAL => rest.to_vec(),
+        let slot = match tag {
+            TAG_LITERAL => {
+                let mut slot = self.ring.take_slot();
+                slot.clear();
+                slot.extend_from_slice(rest);
+                slot
+            }
             TAG_DELTA => {
-                let (&base_idx, rest) = rest.split_first().ok_or(CompressError::Malformed)?;
-                let base = self
+                let (&base_idx, table) = rest.split_first().ok_or(CompressError::Malformed)?;
+                let base_idx = usize::from(base_idx);
+                let base_len = self
                     .ring
                     .frames
-                    .get(base_idx as usize)
-                    .ok_or(CompressError::UnknownTemplate)?;
-                let mut frame = base.clone();
-                if rest.len() < 2 {
-                    return Err(CompressError::Malformed);
-                }
-                let count = u16::from_be_bytes([rest[0], rest[1]]) as usize;
-                let mut pos = 2;
-                for _ in 0..count {
-                    if rest.len() < pos + 4 {
-                        return Err(CompressError::Malformed);
+                    .get(base_idx)
+                    .ok_or(CompressError::UnknownTemplate)?
+                    .len();
+                walk_patches(table, base_len, |_, _| {})?;
+                let evicts_base =
+                    self.ring.frames.len() == RING_CAPACITY && base_idx == RING_CAPACITY - 1;
+                let mut slot = self.ring.take_slot();
+                if !evicts_base {
+                    slot.clear();
+                    if let Some(base) = self.ring.frames.get(base_idx) {
+                        slot.extend_from_slice(base);
                     }
-                    let offset = u16::from_be_bytes([rest[pos], rest[pos + 1]]) as usize;
-                    let len = u16::from_be_bytes([rest[pos + 2], rest[pos + 3]]) as usize;
-                    pos += 4;
-                    if rest.len() < pos + len || offset + len > frame.len() {
-                        return Err(CompressError::Malformed);
+                }
+                // Validated above, so this pass cannot fail.
+                walk_patches(table, base_len, |offset, bytes| {
+                    if let Some(run) = slot.get_mut(offset..offset + bytes.len()) {
+                        run.copy_from_slice(bytes);
                     }
-                    frame[offset..offset + len].copy_from_slice(&rest[pos..pos + len]);
-                    pos += len;
-                }
-                if pos != rest.len() {
-                    return Err(CompressError::Malformed);
-                }
-                frame
+                })?;
+                slot
             }
             _ => return Err(CompressError::Malformed),
         };
-        self.ring.push(frame.clone());
-        Ok(frame)
+        out.extend_from_slice(&slot);
+        self.ring.push(slot);
+        Ok(())
     }
 }
 
@@ -317,6 +376,199 @@ mod tests {
             dec.decode(&[TAG_DELTA, 0]),
             Err(CompressError::UnknownTemplate)
         );
+    }
+
+    /// The clone-based decoder `decode_into` replaced, kept verbatim as
+    /// the oracle the equivalence tests compare against.
+    fn reference_decode(ring: &mut TemplateRing, encoded: &[u8]) -> Result<Vec<u8>, CompressError> {
+        let (&tag, rest) = encoded.split_first().ok_or(CompressError::Malformed)?;
+        let frame = match tag {
+            TAG_LITERAL => rest.to_vec(),
+            TAG_DELTA => {
+                let (&base_idx, rest) = rest.split_first().ok_or(CompressError::Malformed)?;
+                let base = ring
+                    .frames
+                    .get(base_idx as usize)
+                    .ok_or(CompressError::UnknownTemplate)?;
+                let mut frame = base.clone();
+                if rest.len() < 2 {
+                    return Err(CompressError::Malformed);
+                }
+                let count = u16::from_be_bytes([rest[0], rest[1]]) as usize;
+                let mut pos = 2;
+                for _ in 0..count {
+                    if rest.len() < pos + 4 {
+                        return Err(CompressError::Malformed);
+                    }
+                    let offset = u16::from_be_bytes([rest[pos], rest[pos + 1]]) as usize;
+                    let len = u16::from_be_bytes([rest[pos + 2], rest[pos + 3]]) as usize;
+                    pos += 4;
+                    if rest.len() < pos + len || offset + len > frame.len() {
+                        return Err(CompressError::Malformed);
+                    }
+                    frame[offset..offset + len].copy_from_slice(&rest[pos..pos + len]);
+                    pos += len;
+                }
+                if pos != rest.len() {
+                    return Err(CompressError::Malformed);
+                }
+                frame
+            }
+            _ => return Err(CompressError::Malformed),
+        };
+        ring.push(frame.clone());
+        Ok(frame)
+    }
+
+    /// Feed one encoding to the oracle, to `decode` and to
+    /// `decode_into` (over a scratch that already holds bytes) and
+    /// require the same outcome and the same ring from all three.
+    fn step_all(
+        oracle: &mut TemplateRing,
+        owned: &mut Decompressor,
+        into: &mut Decompressor,
+        encoded: &[u8],
+    ) -> Result<Vec<u8>, CompressError> {
+        let want = reference_decode(oracle, encoded);
+        assert_eq!(owned.decode(encoded), want, "decode diverges");
+        let prefix = [0xeeu8, 0x11, 0x22];
+        let mut out = prefix.to_vec();
+        let got = into.decode_into(encoded, &mut out);
+        match &want {
+            Ok(frame) => {
+                assert_eq!(got, Ok(()));
+                assert_eq!(&out[..prefix.len()], &prefix, "prefix clobbered");
+                assert_eq!(&out[prefix.len()..], &frame[..], "decode_into bytes");
+            }
+            Err(e) => {
+                assert_eq!(got, Err(*e), "decode_into error variant");
+                assert_eq!(out, prefix, "failed decode_into wrote to out");
+            }
+        }
+        assert_eq!(owned.ring.frames, oracle.frames, "decode ring diverges");
+        assert_eq!(into.ring.frames, oracle.frames, "decode_into ring diverges");
+        want
+    }
+
+    /// A ring of `RING_CAPACITY` distinct same-length templates, built
+    /// through all three decoders.
+    fn full_rings(len: usize) -> (TemplateRing, Decompressor, Decompressor) {
+        let (mut oracle, mut owned, mut into) = (
+            TemplateRing::default(),
+            Decompressor::new(),
+            Decompressor::new(),
+        );
+        for seq in 0..RING_CAPACITY as u32 {
+            let mut literal = vec![TAG_LITERAL];
+            literal.extend_from_slice(&template_frame(seq * 1000, len));
+            step_all(&mut oracle, &mut owned, &mut into, &literal).unwrap();
+        }
+        assert_eq!(oracle.frames.len(), RING_CAPACITY);
+        (oracle, owned, into)
+    }
+
+    #[test]
+    fn delta_against_the_evicted_slot_matches_the_oracle() {
+        let (mut oracle, mut owned, mut into) = full_rings(64);
+        let base = oracle.frames[RING_CAPACITY - 1].clone();
+        // Two patches against the oldest template — the very slot the
+        // push evicts, which decode_into patches in place.
+        let encoded = [
+            TAG_DELTA,
+            (RING_CAPACITY - 1) as u8,
+            0,
+            2,
+            0,
+            0,
+            0,
+            2,
+            0x10,
+            0x20,
+            0,
+            63,
+            0,
+            1,
+            0x30,
+        ];
+        let frame = step_all(&mut oracle, &mut owned, &mut into, &encoded).unwrap();
+        let mut want = base;
+        want[0] = 0x10;
+        want[1] = 0x20;
+        want[63] = 0x30;
+        assert_eq!(frame, want);
+        assert_eq!(into.ring.frames[0], want);
+        assert_eq!(into.ring.frames.len(), RING_CAPACITY);
+    }
+
+    #[test]
+    fn malformed_patch_list_leaves_the_ring_untouched() {
+        let (mut oracle, mut owned, mut into) = full_rings(64);
+        let before = into.ring.frames.clone();
+        let idx = (RING_CAPACITY - 1) as u8;
+        let cases: [&[u8]; 5] = [
+            // Patch runs past the end of the frame.
+            &[TAG_DELTA, idx, 0, 1, 0, 62, 0, 4, 1, 2, 3, 4],
+            // Count promises two patches, the table holds one.
+            &[TAG_DELTA, 0, 0, 2, 0, 0, 0, 1, 9],
+            // Truncated patch header.
+            &[TAG_DELTA, idx, 0, 1, 0],
+            // Trailing garbage after a valid patch.
+            &[TAG_DELTA, idx, 0, 1, 0, 0, 0, 1, 9, 9],
+            // No patch table at all.
+            &[TAG_DELTA, 3],
+        ];
+        for encoded in cases {
+            assert_eq!(
+                step_all(&mut oracle, &mut owned, &mut into, encoded),
+                Err(CompressError::Malformed),
+                "{encoded:?}"
+            );
+            assert_eq!(into.ring.frames, before, "ring mutated by {encoded:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// `decode_into` ≡ `decode` ≡ the clone-based oracle over seeded
+        /// template streams with byte-mutated encodings mixed in: same
+        /// bytes, same `Ok`/`Err` variant, same ring after every step.
+        #[test]
+        fn decode_into_matches_decode(
+            seed in proptest::prelude::any::<u64>(),
+            frames in 1usize..120,
+            mutate_pct in 0u64..40,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut enc = Compressor::new();
+            let (mut oracle, mut owned, mut into) =
+                (TemplateRing::default(), Decompressor::new(), Decompressor::new());
+            let lens = [60usize, 64, 200, 1514];
+            for seq in 0..frames as u32 {
+                let len = lens[rng.gen_range(0..lens.len())];
+                let mut frame = template_frame(seq, len);
+                for _ in 0..rng.gen_range(0..4) {
+                    let at = rng.gen_range(0..len);
+                    frame[at] = rng.gen();
+                }
+                let mut encoded = enc.encode(&frame);
+                if rng.gen_range(0..100) < mutate_pct {
+                    match rng.gen_range(0..4) {
+                        0 => {
+                            let at = rng.gen_range(0..encoded.len());
+                            encoded[at] = rng.gen();
+                        }
+                        1 => encoded.truncate(rng.gen_range(0..encoded.len())),
+                        2 => encoded.push(rng.gen()),
+                        _ => {
+                            if encoded.len() > 1 {
+                                encoded[1] = rng.gen_range(0..(RING_CAPACITY as u8 + 2));
+                            }
+                        }
+                    }
+                }
+                let _ = step_all(&mut oracle, &mut owned, &mut into, &encoded);
+            }
+        }
     }
 
     #[test]

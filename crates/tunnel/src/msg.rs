@@ -258,15 +258,41 @@ mod tag {
 /// destination in place ([`Msg::patch_data_dest`]) without re-encoding.
 pub const DATA_HEADER: usize = 27;
 
-/// Borrowed view of a [`Msg::Data`] frame body — the zero-copy decode
-/// the relay fast path runs instead of materializing an owned
-/// [`Msg::Data`] with its payload `Vec`.
+/// Borrowed view of a [`Msg::Data`] (or [`Msg::DataCompressed`]) frame
+/// body — the zero-copy decode the relay fast path runs instead of
+/// materializing an owned message with its payload `Vec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataRef<'a> {
     pub router: RouterId,
     pub port: PortId,
     pub span: Span,
     pub payload: &'a [u8],
+}
+
+/// The shared body of [`Msg::peek_data`] and [`Msg::peek_compressed`]:
+/// both layouts are `tag, router, port, trace, origin_us, u32 length,
+/// payload`.
+fn peek_tagged(body: &[u8], want: u8) -> Option<DataRef<'_>> {
+    if body.len() < DATA_HEADER || body[0] != want {
+        return None;
+    }
+    let len = u32::from_be_bytes([body[23], body[24], body[25], body[26]]) as usize;
+    if body.len() - DATA_HEADER != len {
+        return None;
+    }
+    Some(DataRef {
+        router: RouterId(u32::from_be_bytes([body[1], body[2], body[3], body[4]])),
+        port: PortId(u16::from_be_bytes([body[5], body[6]])),
+        span: Span {
+            trace: TraceId(u64::from_be_bytes([
+                body[7], body[8], body[9], body[10], body[11], body[12], body[13], body[14],
+            ])),
+            origin_us: u64::from_be_bytes([
+                body[15], body[16], body[17], body[18], body[19], body[20], body[21], body[22],
+            ]),
+        },
+        payload: &body[DATA_HEADER..],
+    })
 }
 
 impl Msg {
@@ -276,26 +302,51 @@ impl Msg {
     /// so a fast path that falls back to [`Msg::decode`] on `None`
     /// reports exactly the errors the owned decode would.
     pub fn peek_data(body: &[u8]) -> Option<DataRef<'_>> {
-        if body.len() < DATA_HEADER || body[0] != tag::DATA {
-            return None;
+        peek_tagged(body, tag::DATA)
+    }
+
+    /// Borrowed decode of a `DataCompressed` body, the twin of
+    /// [`Msg::peek_data`]: same header layout, and `payload` is the
+    /// still-encoded template bytes (see [`crate::compress`]).
+    pub fn peek_compressed(body: &[u8]) -> Option<DataRef<'_>> {
+        peek_tagged(body, tag::DATA_COMPRESSED)
+    }
+
+    /// Start a data body in `out` (cleared first): the `Data` header,
+    /// or with `compressed` the `DataCompressed` one, with a zero
+    /// payload length. Append the payload, then seal the length with
+    /// [`Msg::finish_data_body`]. This is how the relay builds a body in
+    /// a reused buffer instead of encoding an owned [`Msg`].
+    pub fn begin_data_body(
+        out: &mut Vec<u8>,
+        compressed: bool,
+        router: RouterId,
+        port: PortId,
+        span: Span,
+    ) {
+        out.clear();
+        out.push(if compressed {
+            tag::DATA_COMPRESSED
+        } else {
+            tag::DATA
+        });
+        out.extend_from_slice(&router.0.to_be_bytes());
+        out.extend_from_slice(&port.0.to_be_bytes());
+        out.extend_from_slice(&span.trace.0.to_be_bytes());
+        out.extend_from_slice(&span.origin_us.to_be_bytes());
+        out.extend_from_slice(&[0; 4]);
+    }
+
+    /// Seal a body started by [`Msg::begin_data_body`]: write the
+    /// length of everything appended after the header into its payload
+    /// length prefix.
+    pub fn finish_data_body(body: &mut [u8]) {
+        // A payload past u32 cannot be framed; saturating makes the
+        // body fail `peek_data` rather than alias a shorter length.
+        let len = u32::try_from(body.len().saturating_sub(DATA_HEADER)).unwrap_or(u32::MAX);
+        if let Some(prefix) = body.get_mut(DATA_HEADER - 4..DATA_HEADER) {
+            prefix.copy_from_slice(&len.to_be_bytes());
         }
-        let len = u32::from_be_bytes([body[23], body[24], body[25], body[26]]) as usize;
-        if body.len() - DATA_HEADER != len {
-            return None;
-        }
-        Some(DataRef {
-            router: RouterId(u32::from_be_bytes([body[1], body[2], body[3], body[4]])),
-            port: PortId(u16::from_be_bytes([body[5], body[6]])),
-            span: Span {
-                trace: TraceId(u64::from_be_bytes([
-                    body[7], body[8], body[9], body[10], body[11], body[12], body[13], body[14],
-                ])),
-                origin_us: u64::from_be_bytes([
-                    body[15], body[16], body[17], body[18], body[19], body[20], body[21], body[22],
-                ]),
-            },
-            payload: &body[DATA_HEADER..],
-        })
     }
 
     /// Rewrite the destination router/port of a `Data` or
@@ -786,6 +837,69 @@ mod tests {
         assert_eq!(peeked.port, port);
         assert_eq!(peeked.span, span);
         assert_eq!(peeked.payload, &frame[..]);
+    }
+
+    #[test]
+    fn peek_compressed_matches_owned_decode_and_rejects_data() {
+        let msg = Msg::DataCompressed {
+            router: RouterId(0x0a0b0c0d),
+            port: PortId(0x0e0f),
+            span: Span {
+                trace: TraceId(77),
+                origin_us: 5,
+            },
+            encoded: vec![1, 0, 0, 0],
+        };
+        let body = msg.encode();
+        let peeked = Msg::peek_compressed(&body).expect("compressed body peeks");
+        assert_eq!(peeked.router, RouterId(0x0a0b0c0d));
+        assert_eq!(peeked.port, PortId(0x0e0f));
+        assert_eq!(peeked.span.trace, TraceId(77));
+        assert_eq!(peeked.payload, &[1, 0, 0, 0]);
+        assert!(Msg::peek_data(&body).is_none());
+        let data = Msg::Data {
+            router: RouterId(1),
+            port: PortId(2),
+            span: Span::NONE,
+            frame: vec![3; 8],
+        };
+        assert!(Msg::peek_compressed(&data.encode()).is_none());
+        // A length prefix that disagrees with the body is rejected.
+        let mut short = body.clone();
+        short.pop();
+        assert!(Msg::peek_compressed(&short).is_none());
+    }
+
+    #[test]
+    fn built_data_bodies_match_owned_encode() {
+        let span = Span {
+            trace: TraceId(0x1122_3344_5566_7788),
+            origin_us: 99,
+        };
+        // A reused buffer with stale content from an earlier body.
+        let mut out = vec![0xff; 300];
+        for (compressed, payload) in [(false, vec![0xab; 60]), (true, vec![1, 2]), (false, vec![])]
+        {
+            Msg::begin_data_body(&mut out, compressed, RouterId(7), PortId(3), span);
+            out.extend_from_slice(&payload);
+            Msg::finish_data_body(&mut out);
+            let want = if compressed {
+                Msg::DataCompressed {
+                    router: RouterId(7),
+                    port: PortId(3),
+                    span,
+                    encoded: payload,
+                }
+            } else {
+                Msg::Data {
+                    router: RouterId(7),
+                    port: PortId(3),
+                    span,
+                    frame: payload,
+                }
+            };
+            assert_eq!(out, want.encode());
+        }
     }
 
     #[test]
