@@ -44,6 +44,10 @@ cargo test -q --offline -p rnl --test verify
 # reproducible), the shard-fault chaos property test, and the front
 # tier's routing table.
 cargo test -q --offline -p rnl --test shard
+# The deployable routeserver binary, spawned at --shards 1 (the
+# default) and 2: startup lines, reservation enforcement, per-shard
+# liveness on the scrape, journal replay across a restart.
+cargo test -q --offline -p rnl-server --test routeserver_bin
 # E24 mesh: the direct site-to-site data plane — relay counters flat
 # while paths are healthy, seeded-cut failover within the bounded
 # window, zero frames lost in accounting, failback after the heal.

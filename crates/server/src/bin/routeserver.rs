@@ -1,7 +1,7 @@
 //! The deployable back end: the process that would run at
 //! `netlabs.accenture.com`.
 //!
-//! Two listening sockets:
+//! Three listening sockets:
 //!
 //! * `--ris-port` (default 4510) — RIS tunnel sessions. Interface PCs
 //!   dial in, register their equipment, and enter packet-forwarding
@@ -14,21 +14,23 @@
 //!   Any connection (an HTTP GET or a bare `nc`) receives the current
 //!   snapshot of every `rnl_*` metric and the connection closes.
 //!
-//! With `--state-dir PATH` the server is crash-safe: every state
-//! mutation is journaled to `PATH/journal.rnl` and compacted into
-//! `PATH/snapshot.rnl` every `--snapshot-every` seconds. On boot the
-//! server replays snapshot + tail, then waits out the grace window for
-//! RIS boxes to redial and re-adopt their recovered deployments.
+//! Every server is a federation of `--shards N` route servers (default
+//! 1): RIS sessions balance round-robin across the live shards,
+//! cross-shard wires relay over supervised in-process trunks, and API
+//! requests route through the sharded front tier. Every flag applies to
+//! every shard.
 //!
-//! With `--shards N` (N > 1) the process runs a federation of N route
-//! servers instead of one: RIS sessions balance round-robin across the
-//! live shards, cross-shard wires relay over supervised in-process
-//! trunks, API requests route through the sharded front tier, and each
-//! shard journals to its own `PATH/shard-<k>/` — a shard whose journal
-//! fails is killed and recovered in place while its siblings serve.
+//! With `--state-dir PATH` the server is crash-safe: each shard journals
+//! every state mutation to `PATH/shard-<k>/journal.rnl` and compacts it
+//! into `PATH/shard-<k>/snapshot.rnl` every `--snapshot-every` seconds;
+//! `PATH/federation.rnl` records deployments by federation id. On boot
+//! each shard replays snapshot + tail, then waits out the grace window
+//! for RIS boxes to redial and re-adopt their recovered deployments. A
+//! shard whose journal fails is killed and recovered in place from the
+//! same files while its siblings serve.
 //!
 //! With `--mesh` the server negotiates a direct peer path for every
-//! deployed cross-session wire (each endpoint gets the peer's pc-name
+//! deployed cross-session wire within one shard (each endpoint gets the peer's pc-name
 //! plus an epoch-scoped secret) so the data plane skips the relay while
 //! the paths stay healthy; a per-path supervisor on each RIS falls back
 //! to the relay within a bounded window when the path dies and fails
@@ -47,8 +49,9 @@ use std::sync::mpsc;
 use std::time::Instant as WallInstant;
 
 use rnl_net::time::Instant;
-use rnl_server::journal::{FileJournal, FsyncPolicy};
+use rnl_server::journal::FsyncPolicy;
 use rnl_server::overload::OverloadConfig;
+use rnl_server::shard::Federation;
 use rnl_server::{web, RouteServer};
 use rnl_tunnel::transport::TcpTransport;
 
@@ -58,6 +61,8 @@ enum Event {
         line: String,
         reply: mpsc::Sender<String>,
     },
+    /// A metrics scrape: the core loop renders the page on demand.
+    Scrape(mpsc::Sender<String>),
 }
 
 fn main() {
@@ -168,169 +173,87 @@ fn main() {
     // Acceptor: API connections (one thread per client; line-oriented).
     let api_listener = TcpListener::bind(("0.0.0.0", api_port)).expect("bind API port");
     eprintln!("routeserver: web-services API on :{api_port}");
-    std::thread::spawn(move || {
-        for stream in api_listener.incoming().flatten() {
-            let tx = tx.clone();
-            std::thread::spawn(move || serve_api_client(stream, tx));
-        }
-    });
-
-    if shards > 1 {
-        run_sharded(shards, state_dir, grace_secs, mesh, metrics_port, rx, now);
+    {
+        let tx = tx.clone();
+        std::thread::spawn(move || {
+            for stream in api_listener.incoming().flatten() {
+                let tx = tx.clone();
+                std::thread::spawn(move || serve_api_client(stream, tx));
+            }
+        });
     }
 
-    // The single-threaded core loop: sessions, relay, API dispatch.
-    // With --state-dir the server always boots through recovery: on an
-    // empty directory that is a fresh start with a journal installed;
-    // after a crash it replays snapshot + tail back to the pre-crash
-    // state and waits out the grace window for RIS boxes to redial.
-    let mut server = match &state_dir {
-        Some(dir) => {
-            let mut wal = FileJournal::open(dir).unwrap_or_else(|e| {
-                eprintln!("routeserver: cannot open state dir {dir}: {e}");
-                std::process::exit(2);
-            });
-            wal.set_fsync_policy(fsync_policy);
-            if fsync_policy == FsyncPolicy::GroupCommit {
-                eprintln!("routeserver: group-commit fsync (one sync per poll)");
-            }
-            let server = RouteServer::recover(Box::new(wal), now()).unwrap_or_else(|e| {
-                eprintln!("routeserver: recovery from {dir} failed: {e}");
-                std::process::exit(2);
-            });
-            let snap = server.obs().snapshot();
+    let mut fed = Federation::new(shards, 0x5eed);
+    fed.set_grace_window(rnl_net::time::Duration::from_secs(grace_secs));
+    fed.set_snapshot_every(rnl_net::time::Duration::from_secs(snapshot_secs));
+    fed.set_overload_config(overload, now());
+    fed.set_fsync_policy(fsync_policy);
+    fed.set_mesh_enabled(mesh);
+    // With --state-dir every shard boots through recovery: on an empty
+    // directory that is a fresh start with a journal installed; after a
+    // crash it replays snapshot + tail back to the pre-crash state and
+    // waits out the grace window for RIS boxes to redial.
+    if let Some(dir) = &state_dir {
+        if let Err(e) = fed.enable_file_durability(dir, now()) {
+            eprintln!("routeserver: cannot open state dir {dir}: {e}");
+            std::process::exit(2);
+        }
+        for k in 0..shards {
+            let Some(snap) = fed.server(k).map(|s| s.obs().snapshot()) else {
+                continue;
+            };
             eprintln!(
-                "routeserver: durable state in {dir} (replayed {} journal records, {} torn)",
+                "routeserver: shard {k} durable state in {dir}/shard-{k} \
+                 (replayed {} journal records, {} torn)",
                 snap.counter("rnl_server_journal_replayed_total", &[]),
                 snap.counter("rnl_server_journal_torn_total", &[]),
             );
-            server
         }
-        None => RouteServer::new(),
-    };
-    server.set_snapshot_every(rnl_net::time::Duration::from_secs(snapshot_secs));
-    server.set_grace_window(rnl_net::time::Duration::from_secs(grace_secs));
-    server.set_overload_config(overload, now());
-    if mesh {
-        server.set_mesh_enabled(true);
-        eprintln!("routeserver: mesh on (cross-session wires get direct peer paths)");
+        if fsync_policy == FsyncPolicy::GroupCommit {
+            eprintln!("routeserver: group-commit fsync (one sync per poll)");
+        }
     }
-    eprintln!("routeserver: session flap grace window {grace_secs}s");
+    if mesh {
+        eprintln!("routeserver: mesh on (cross-session wires on one shard get direct peer paths)");
+    }
+    eprintln!(
+        "routeserver: federation of {shards} shard(s); session flap grace window {grace_secs}s"
+    );
     eprintln!(
         "routeserver: admission control: hwm {} tokens, op deadline {}s",
         overload.capacity,
         overload.op_deadline.as_micros() / 1_000_000
     );
 
-    // Metrics exposition: the registry clone shares storage with the
-    // server's, so this thread serves live values without touching the
-    // core loop.
-    let registry = server.obs().clone();
+    // Metrics exposition: each scrape asks the core loop for one page
+    // covering the whole federation, so a snapshot is built only when
+    // someone scrapes.
     let metrics_listener = TcpListener::bind(("0.0.0.0", metrics_port)).expect("bind metrics port");
     eprintln!("routeserver: metrics exposition on :{metrics_port}");
     std::thread::spawn(move || {
         for stream in metrics_listener.incoming().flatten() {
-            serve_metrics_client(stream, &registry);
+            let (reply, page) = mpsc::channel();
+            if tx.send(Event::Scrape(reply)).is_err() {
+                return;
+            }
+            let Ok(body) = page.recv() else { return };
+            serve_metrics_body(stream, &body);
         }
     });
 
-    loop {
-        while let Ok(event) = rx.try_recv() {
-            match event {
-                Event::RisSession(stream) => match TcpTransport::from_stream(stream) {
-                    Ok(transport) => {
-                        let sid = server.attach(Box::new(transport));
-                        eprintln!("routeserver: RIS session {sid:?} attached");
-                    }
-                    Err(e) => eprintln!("routeserver: bad session: {e}"),
-                },
-                Event::ApiRequest { line, reply } => {
-                    let response = web::handle_json(&mut server, &line, now());
-                    let _ = reply.send(response);
-                }
-            }
-        }
-        server.poll(now());
-        if server.crashed() {
-            // The journal could not record a mutation: fail-stop rather
-            // than keep serving state that would be lost on restart.
-            // The supervisor (systemd, a wrapper script) restarts us
-            // and recovery replays to the last durable point.
-            eprintln!("routeserver: journal write failed; fail-stopping (restart to recover)");
-            std::process::exit(1);
-        }
-        std::thread::sleep(std::time::Duration::from_micros(500));
-    }
-}
-
-/// The `--shards N` core loop: a route-server federation behind the
-/// same three sockets. RIS sessions are balanced round-robin across the
-/// live shards (router-id ownership follows the registering shard's id
-/// range, so cross-shard wires ride the supervised trunks); API
-/// requests go through the sharded front tier; a shard whose journal
-/// fails is killed in place and journal-recovered while its siblings
-/// keep serving — the process no longer fail-stops as a whole.
-fn run_sharded(
-    n: usize,
-    state_dir: Option<String>,
-    grace_secs: u64,
-    mesh: bool,
-    metrics_port: u16,
-    rx: mpsc::Receiver<Event>,
-    now: impl Fn() -> Instant,
-) -> ! {
-    use rnl_server::shard::Federation;
-
-    let mut fed = Federation::new(n, 0x5eed);
-    fed.set_grace_window(rnl_net::time::Duration::from_secs(grace_secs));
-    if mesh {
-        // Mesh negotiation is per shard: wires whose two sessions landed
-        // on the same shard get direct paths; cross-shard wires stay on
-        // the supervised trunks.
-        for k in 0..n {
-            if let Ok(server) = fed.server_mut(k) {
-                server.set_mesh_enabled(true);
-            }
-        }
-        eprintln!("routeserver: mesh on (same-shard cross-session wires get direct peer paths)");
-    }
-    if let Some(dir) = &state_dir {
-        if let Err(e) = fed.enable_file_durability(dir.clone(), now()) {
-            eprintln!("routeserver: cannot open sharded state dir {dir}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("routeserver: durable shard state under {dir}/shard-<k>/");
-    }
-    eprintln!("routeserver: federation of {n} shards; session flap grace window {grace_secs}s");
-
-    // One exposition page for the whole federation: per-shard server
-    // series tagged `shard="k"` merged with the federation's own. The
-    // core loop refreshes the shared snapshot; the scrape thread only
-    // renders it, so it never touches federation state.
-    let exposition = std::sync::Arc::new(std::sync::Mutex::new(fed.metrics_snapshot()));
-    let metrics_listener = TcpListener::bind(("0.0.0.0", metrics_port)).expect("bind metrics port");
-    eprintln!("routeserver: metrics exposition on :{metrics_port}");
-    {
-        let exposition = std::sync::Arc::clone(&exposition);
-        std::thread::spawn(move || {
-            for stream in metrics_listener.incoming().flatten() {
-                let body = match exposition.lock() {
-                    Ok(snap) => rnl_obs::render_prometheus(&snap),
-                    Err(_) => String::new(),
-                };
-                serve_metrics_body(stream, &body);
-            }
-        });
-    }
-
+    // The single-threaded core loop: sessions, relay, API dispatch,
+    // scrapes. A shard whose journal failed is killed on the spot and
+    // recovered from its journal once its down window passes; its
+    // siblings keep serving throughout.
     let mut next_shard = 0usize;
-    let mut last_snapshot = now();
     loop {
         while let Ok(event) = rx.try_recv() {
             match event {
                 Event::RisSession(stream) => match TcpTransport::from_stream(stream) {
                     Ok(transport) => {
-                        let shard = (0..n).map(|i| (next_shard + i) % n).find(|&k| fed.is_up(k));
+                        let shard = (0..shards)
+                            .map(|i| (next_shard + i) % shards)
+                            .find(|&k| fed.is_up(k));
                         next_shard = next_shard.wrapping_add(1);
                         match shard {
                             Some(k) => match fed.attach_to(k, Box::new(transport)) {
@@ -347,30 +270,21 @@ fn run_sharded(
                     Err(e) => eprintln!("routeserver: bad session: {e}"),
                 },
                 Event::ApiRequest { line, reply } => {
-                    let response = web::handle_json_sharded(&mut fed, &line, now());
-                    let _ = reply.send(response);
+                    let _ = reply.send(web::handle_json_sharded(&mut fed, &line, now()));
+                }
+                Event::Scrape(reply) => {
+                    let _ = reply.send(rnl_obs::render_prometheus(&fed.metrics_snapshot()));
                 }
             }
         }
         fed.poll(now());
-        // Crash containment: a shard whose journal failed is killed on
-        // the spot and scheduled for journal recovery; its siblings and
-        // the intra-shard relay keep serving throughout.
-        for k in 0..n {
+        for k in 0..shards {
             if fed.server(k).is_some_and(RouteServer::crashed) {
                 eprintln!(
                     "routeserver: shard {k} journal write failed; \
                      killing and recovering in place"
                 );
                 fed.kill_shard(k, Some(rnl_net::time::Duration::from_secs(5)), now());
-            }
-        }
-        // Refresh the scrape page at most every 250 ms — a snapshot
-        // walks every shard's registry, too heavy for a 500 µs loop.
-        if now().since(last_snapshot) >= rnl_net::time::Duration::from_millis(250) {
-            last_snapshot = now();
-            if let Ok(mut snap) = exposition.lock() {
-                *snap = fed.metrics_snapshot();
             }
         }
         std::thread::sleep(std::time::Duration::from_micros(500));
@@ -407,15 +321,9 @@ fn serve_api_client(stream: TcpStream, tx: mpsc::Sender<Event>) {
     eprintln!("routeserver: API client {peer:?} disconnected");
 }
 
-/// Answer one scrape: an HTTP response if the peer spoke HTTP (a
-/// request line ending in a blank line), otherwise the bare text body.
-fn serve_metrics_client(stream: TcpStream, registry: &rnl_obs::MetricsRegistry) {
-    serve_metrics_body(stream, &rnl_obs::render_prometheus(&registry.snapshot()));
-}
-
-/// The scrape-answering half of [`serve_metrics_client`], for callers
-/// that already rendered the page (the sharded loop serves a merged
-/// federation snapshot).
+/// Answer one scrape with a rendered page: an HTTP response if the
+/// peer spoke HTTP (a request line ending in a blank line), otherwise
+/// the bare text body.
 fn serve_metrics_body(mut stream: TcpStream, body: &str) {
     let mut probe = [0u8; 4];
     let spoke_http = {

@@ -135,12 +135,13 @@ pub trait Durability: Send {
         Ok(())
     }
 
-    /// A second handle onto the same backing store, for recovering a
-    /// server whose original journal handle was lost with the server
-    /// (e.g. a panicked shard thread). `None` when the backend cannot
-    /// be reattached; callers then treat the state as lost.
-    fn reopen(&self) -> Option<Box<dyn Durability>> {
-        None
+    /// Choose when appends reach stable storage (`--fsync-every`). The
+    /// default ignores it: a backend without a disk has nothing to sync.
+    fn set_fsync_policy(&mut self, _policy: FsyncPolicy) {}
+
+    /// The active fsync policy.
+    fn fsync_policy(&self) -> FsyncPolicy {
+        FsyncPolicy::EveryAppend
     }
 }
 
@@ -349,10 +350,6 @@ impl Durability for MemJournal {
     fn arm_crash(&mut self, point: Option<CrashPoint>) {
         self.crash = point;
     }
-
-    fn reopen(&self) -> Option<Box<dyn Durability>> {
-        Some(Box::new(MemJournal::attached(self.store())))
-    }
 }
 
 /// An on-disk [`Durability`] backend for the `routeserver` binary:
@@ -380,16 +377,6 @@ impl FileJournal {
             fsync: FsyncPolicy::default(),
             dirty: false,
         })
-    }
-
-    /// Choose when appends reach stable storage (`--fsync-every`).
-    pub fn set_fsync_policy(&mut self, policy: FsyncPolicy) {
-        self.fsync = policy;
-    }
-
-    /// The active fsync policy.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.fsync
     }
 
     fn journal_path(&self) -> PathBuf {
@@ -528,10 +515,12 @@ impl Durability for FileJournal {
         Ok(())
     }
 
-    fn reopen(&self) -> Option<Box<dyn Durability>> {
-        let mut journal = FileJournal::open(self.dir.clone()).ok()?;
-        journal.set_fsync_policy(self.fsync);
-        Some(Box::new(journal))
+    fn set_fsync_policy(&mut self, policy: FsyncPolicy) {
+        self.fsync = policy;
+    }
+
+    fn fsync_policy(&self) -> FsyncPolicy {
+        self.fsync
     }
 }
 

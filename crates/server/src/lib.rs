@@ -51,7 +51,7 @@ use capture::{CaptureDir, CaptureHub};
 use design::{Design, DesignError, DesignStore};
 use generate::{Generator, StreamConfig, StreamId};
 use inventory::{Inventory, InventoryRecord, SessionId};
-use journal::{CrashPoint, Durability, JournalError};
+use journal::{CrashPoint, Durability, FsyncPolicy, JournalError};
 use json::Json;
 use matrix::{DeploymentId, MatrixError, RoutingMatrix};
 use mesh::MeshControl;
@@ -655,6 +655,11 @@ impl RouteServer {
         self.snapshot_every = every;
     }
 
+    /// The interval between compacting snapshots.
+    pub fn snapshot_every(&self) -> Duration {
+        self.snapshot_every
+    }
+
     // -----------------------------------------------------------------
     // Overload policy: admission control, load shedding, deadlines
     // -----------------------------------------------------------------
@@ -758,6 +763,20 @@ impl RouteServer {
     ) -> Result<(), ServerError> {
         self.wal = Some(wal);
         self.snapshot_now(now)
+    }
+
+    /// Choose when the installed journal's appends reach stable storage
+    /// (no-op without a journal). Config, not state: re-applied after
+    /// recovery.
+    pub fn set_fsync_policy(&mut self, policy: FsyncPolicy) {
+        if let Some(wal) = self.wal.as_mut() {
+            wal.set_fsync_policy(policy);
+        }
+    }
+
+    /// The installed journal's fsync policy (`None` without a journal).
+    pub fn fsync_policy(&self) -> Option<FsyncPolicy> {
+        self.wal.as_ref().map(|wal| wal.fsync_policy())
     }
 
     /// Arm (or disarm, with `None`) a crash-injection point on the
@@ -1783,14 +1802,6 @@ impl RouteServer {
             .any(|s| s.alive && s.graced_at.is_none() && s.pc_name.as_deref() == Some(pc_name))
     }
 
-    /// A second handle onto this server's journal store, captured
-    /// *before* handing the server to a thread so its state can be
-    /// recovered if the thread panics. `None` without durability (or
-    /// when the backend cannot be reattached).
-    pub fn wal_reopen(&self) -> Option<Box<dyn Durability>> {
-        self.wal.as_ref().and_then(|w| w.reopen())
-    }
-
     /// Mark a session disconnected and start its grace window. Frames
     /// routed to its routers are shed (counted as `session-graced`)
     /// until it is re-adopted or reaped.
@@ -2365,17 +2376,60 @@ impl RouteServer {
                 return Err(ServerError::Verify(outcome.report.render()));
             }
         }
-        let routers: Vec<RouterId> = design.devices().collect();
-        for &router in &routers {
-            if self.inventory.get(router).is_none() {
-                return Err(ServerError::UnknownRouter(router));
-            }
-        }
-        if self.enforce_reservations && !self.calendar.covers(user, &routers, now) {
+        let routers = self.known_routers(design)?;
+        self.check_reservation(user, &routers, now)?;
+        self.install_deployment(user, design, routers, now)
+    }
+
+    /// The calendar gate on its own: `user` must hold a reservation
+    /// covering every router in `routers` now (always passes with
+    /// enforcement off). A federation runs it once, on the design's
+    /// home shard, for a deployment whose parts land on other shards.
+    pub fn check_reservation(
+        &self,
+        user: &str,
+        routers: &[RouterId],
+        now: Instant,
+    ) -> Result<(), ServerError> {
+        if self.enforce_reservations && !self.calendar.covers(user, routers, now) {
             return Err(ServerError::Reservation(format!(
                 "user {user:?} holds no reservation covering all routers now"
             )));
         }
+        Ok(())
+    }
+
+    /// Place one part of a deployment whose gates — lint, verify and
+    /// the calendar — the caller already ran for the whole design.
+    pub fn place_design(
+        &mut self,
+        user: &str,
+        design: &Design,
+        now: Instant,
+    ) -> Result<DeploymentId, ServerError> {
+        design.validate()?;
+        let routers = self.known_routers(design)?;
+        self.install_deployment(user, design, routers, now)
+    }
+
+    /// The design's routers, all of which must be in this inventory.
+    fn known_routers(&self, design: &Design) -> Result<Vec<RouterId>, ServerError> {
+        let routers: Vec<RouterId> = design.devices().collect();
+        match routers.iter().find(|&&r| self.inventory.get(r).is_none()) {
+            Some(&unknown) => Err(ServerError::UnknownRouter(unknown)),
+            None => Ok(routers),
+        }
+    }
+
+    /// Install a gated deployment: matrix, L1 bridges, mesh offers,
+    /// journal record, saved-config restore.
+    fn install_deployment(
+        &mut self,
+        user: &str,
+        design: &Design,
+        routers: Vec<RouterId>,
+        now: Instant,
+    ) -> Result<DeploymentId, ServerError> {
         let id = self.matrix.deploy(&routers, design.links())?;
         // Fig. 7 promoted into the general relay: wires whose endpoints
         // both front the same RIS session are bridged on the L1 panel,

@@ -7,24 +7,18 @@
 //! the routing matrices between different users do not overlap, we can
 //! have one route server per user."
 //!
-//! Two layers live here:
-//!
-//! * [`ShardSet`] — the original per-user split: one independent
-//!   [`RouteServer`] per user, share-nothing, driven in parallel
-//!   (experiment E9). [`ShardSet::run_parallel_recovering`] survives a
-//!   panicked shard thread by rebuilding that shard from its own WAL.
-//! * [`Federation`] — the fault-contained scale-out tier: sessions are
-//!   partitioned across `N` shards by consistent hash over the RIS
-//!   principal ([`HashRing`]), cross-shard wires relay over supervised
-//!   inter-shard trunks, and each shard owns its own journal so a crash
-//!   is recovered locally while siblings keep serving. Partial failure
-//!   is *contained*: a dead trunk sheds only the cross-shard frames
-//!   that needed it (counted `reason="trunk-down"`), never intra-shard
-//!   traffic.
+//! [`Federation`] is that distributed architecture, and every
+//! `routeserver` runs as one (a single server is a federation of one):
+//! sessions are partitioned across `N` shards by consistent hash over
+//! the RIS principal ([`HashRing`]), cross-shard wires relay over
+//! supervised inter-shard trunks, and each shard owns its own journal
+//! so a crash is recovered locally while siblings keep serving. Partial
+//! failure is *contained*: a dead trunk sheds only the cross-shard
+//! frames that needed it (counted `reason="trunk-down"`), never
+//! intra-shard traffic.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::thread;
 
 use rnl_net::time::{Duration, Instant};
 use rnl_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
@@ -36,154 +30,12 @@ use rnl_tunnel::transport::{
 };
 
 use crate::design::Design;
-use crate::journal::{Durability, FileJournal, MemJournal, SharedStore};
+use crate::journal::{Durability, FileJournal, FsyncPolicy, MemJournal, SharedStore};
 use crate::json::Json;
-use crate::{DeploymentId, RouteServer, ServerError, ServerStats, SessionId};
-
-// ---------------------------------------------------------------------
-// ShardSet: the per-user split (E9)
-// ---------------------------------------------------------------------
-
-/// A set of per-user route servers.
-#[derive(Default)]
-pub struct ShardSet {
-    shards: BTreeMap<String, RouteServer>,
-    /// Test hook: the named shard's poll thread panics immediately.
-    #[cfg(test)]
-    panic_shard: Option<String>,
-}
-
-/// What [`ShardSet::run_parallel_recovering`] hands back: the shards
-/// (every one of them — a panicked shard is rebuilt from its WAL, or
-/// reset empty when it had none) plus the names of the shards whose
-/// poll thread panicked, in shard order.
-pub struct ParallelOutcome {
-    pub set: ShardSet,
-    pub panicked: Vec<String>,
-}
-
-impl ShardSet {
-    /// Empty set.
-    pub fn new() -> ShardSet {
-        ShardSet::default()
-    }
-
-    /// The shard for `user`, created on first touch.
-    pub fn shard_mut(&mut self, user: &str) -> &mut RouteServer {
-        self.shards.entry(user.to_string()).or_default()
-    }
-
-    /// Read access to a shard.
-    pub fn shard(&self, user: &str) -> Option<&RouteServer> {
-        self.shards.get(user)
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when no shard exists.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Aggregate counters across shards.
-    pub fn total_stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
-        for shard in self.shards.values() {
-            let s = shard.stats();
-            total.frames_routed += s.frames_routed;
-            total.frames_unrouted += s.frames_unrouted;
-            total.bytes_relayed += s.bytes_relayed;
-            total.frames_injected += s.frames_injected;
-        }
-        total
-    }
-
-    /// Poll every shard sequentially (the degenerate, single-threaded
-    /// mode — useful as the baseline in E9).
-    pub fn poll_all(&mut self, now: Instant) {
-        for shard in self.shards.values_mut() {
-            shard.poll(now);
-        }
-    }
-
-    /// Drive every shard's poll loop on its own thread for `steps`
-    /// virtual steps of `dt` each, then hand the servers back. This is
-    /// the §4 distributed architecture: shards share nothing, so they
-    /// parallelize perfectly.
-    pub fn run_parallel(self, steps: u64, dt: Duration) -> ShardSet {
-        self.run_parallel_recovering(steps, dt).set
-    }
-
-    /// Like [`ShardSet::run_parallel`], but a panicked shard thread no
-    /// longer silently loses that shard's state: before spawning, each
-    /// shard's journal is reopened on the supervisor side, and a shard
-    /// whose thread panics is rebuilt from that journal (crash-local
-    /// recovery — siblings are unaffected). The panic is surfaced in
-    /// [`ParallelOutcome::panicked`] instead of being swallowed.
-    pub fn run_parallel_recovering(self, steps: u64, dt: Duration) -> ParallelOutcome {
-        let end = Instant::EPOCH + Duration::from_micros(dt.as_micros().saturating_mul(steps));
-        #[cfg(test)]
-        let panic_for = self.panic_shard.clone();
-        type ShardHandle = (
-            String,
-            Option<Box<dyn Durability>>,
-            thread::JoinHandle<RouteServer>,
-        );
-        let handles: Vec<ShardHandle> = self
-            .shards
-            .into_iter()
-            .map(|(user, mut server)| {
-                // A second handle onto the shard's journal, held by the
-                // supervisor: if the poll thread dies, this is how the
-                // shard's state comes back.
-                let wal = server.wal_reopen();
-                #[cfg(test)]
-                let boom = panic_for.as_deref() == Some(user.as_str());
-                #[cfg(not(test))]
-                let boom = false;
-                let handle = thread::spawn(move || {
-                    if boom {
-                        std::panic::panic_any("injected shard panic");
-                    }
-                    let mut now = Instant::EPOCH;
-                    for _ in 0..steps {
-                        now += dt;
-                        server.poll(now);
-                    }
-                    server
-                });
-                (user, wal, handle)
-            })
-            .collect();
-        let mut shards = BTreeMap::new();
-        let mut panicked = Vec::new();
-        for (user, wal, handle) in handles {
-            match handle.join() {
-                Ok(server) => {
-                    shards.insert(user, server);
-                }
-                Err(_) => {
-                    let rebuilt = wal
-                        .and_then(|w| RouteServer::recover(w, end).ok())
-                        .unwrap_or_default();
-                    panicked.push(user.clone());
-                    shards.insert(user, rebuilt);
-                }
-            }
-        }
-        ParallelOutcome {
-            set: ShardSet {
-                shards,
-                #[cfg(test)]
-                panic_shard: None,
-            },
-            panicked,
-        }
-    }
-}
+use crate::overload::OverloadConfig;
+use crate::{
+    DeploymentId, RouteServer, ServerError, SessionId, DEFAULT_GRACE_WINDOW, DEFAULT_SNAPSHOT_EVERY,
+};
 
 // ---------------------------------------------------------------------
 // Federation: hash-partitioned shards with supervised trunks
@@ -250,14 +102,53 @@ struct ShardSlot {
     /// Backing store of the in-memory journal — the only thing that
     /// survives [`Federation::kill_shard`] in mem-durability mode.
     store: Option<SharedStore>,
-    /// Per-shard state directory in file-durability mode.
-    state_dir: Option<PathBuf>,
     /// While `Some`, the shard auto-recovers when the clock passes it.
     down_until: Option<Instant>,
     m_up: Gauge,
     m_kills: Counter,
     m_recoveries: Counter,
-    m_frames: Gauge,
+}
+
+/// Every setting a shard's [`RouteServer`] carries — config, not state,
+/// so no journal replays it. [`ShardConfig::apply`] configures every
+/// shard the federation creates, recovers or adds; the federation's
+/// setters also push a change to the shards already live. The defaults
+/// are [`RouteServer::new`]'s.
+#[derive(Debug, Clone)]
+struct ShardConfig {
+    grace_window: Duration,
+    enforce_reservations: bool,
+    overload: OverloadConfig,
+    snapshot_every: Duration,
+    fsync: FsyncPolicy,
+    mesh: bool,
+}
+
+impl Default for ShardConfig {
+    fn default() -> ShardConfig {
+        ShardConfig {
+            grace_window: DEFAULT_GRACE_WINDOW,
+            enforce_reservations: true,
+            overload: OverloadConfig::default(),
+            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
+            fsync: FsyncPolicy::default(),
+            mesh: false,
+        }
+    }
+}
+
+impl ShardConfig {
+    /// Configure shard `k`'s server: its router-id range plus every
+    /// setting (the fsync policy reaches the installed journal, if any).
+    fn apply(&self, k: usize, server: &mut RouteServer, now: Instant) {
+        server.set_router_id_base(k as u32 * SHARD_ID_STRIDE);
+        server.set_grace_window(self.grace_window);
+        server.set_enforce_reservations(self.enforce_reservations);
+        server.set_overload_config(self.overload, now);
+        server.set_snapshot_every(self.snapshot_every);
+        server.set_fsync_policy(self.fsync);
+        server.set_mesh_enabled(self.mesh);
+    }
 }
 
 /// A supervised inter-shard trunk: the transport pair cross-shard
@@ -517,8 +408,7 @@ pub struct Federation {
     faults: ShardFaultPlan,
     seed: u64,
     durability: DurabilityMode,
-    grace_window: Option<Duration>,
-    enforce_reservations: bool,
+    config: ShardConfig,
     trunk_hwm: usize,
     trunk_policy: OverflowPolicy,
     next_fed_id: u64,
@@ -545,8 +435,7 @@ impl Federation {
             faults: ShardFaultPlan::new(),
             seed,
             durability: DurabilityMode::None,
-            grace_window: None,
-            enforce_reservations: false,
+            config: ShardConfig::default(),
             trunk_hwm: DEFAULT_TRUNK_HWM,
             trunk_policy: OverflowPolicy::DropNewest,
             next_fed_id: 1,
@@ -562,10 +451,11 @@ impl Federation {
             ),
             obs,
         };
-        for k in 0..n {
-            let slot = fed.make_slot(k);
-            fed.slots.push(slot);
+        for _ in 0..n {
+            fed.push_slot();
         }
+        // Without durability there is no journal to fail on.
+        let _ = fed.boot_all(Instant::EPOCH);
         for a in 0..n {
             for b in (a + 1)..n {
                 fed.seed = lcg(fed.seed);
@@ -576,103 +466,142 @@ impl Federation {
         fed
     }
 
-    fn make_slot(&mut self, k: usize) -> ShardSlot {
-        let mut server = RouteServer::new();
-        server.set_router_id_base(k as u32 * SHARD_ID_STRIDE);
-        server.set_enforce_reservations(self.enforce_reservations);
-        if let Some(window) = self.grace_window {
-            server.set_grace_window(window);
-        }
-        let label = k.to_string();
+    /// Append the next slot, marked up; the caller boots its server.
+    fn push_slot(&mut self) {
+        let label = self.slots.len().to_string();
         let labels: &[(&str, &str)] = &[("shard", label.as_str())];
         let slot = ShardSlot {
-            server: Some(server),
+            server: None,
             store: None,
-            state_dir: None,
             down_until: None,
             m_up: self.obs.gauge("rnl_server_shard_up", labels),
             m_kills: self.obs.counter("rnl_server_shard_kills_total", labels),
             m_recoveries: self
                 .obs
                 .counter("rnl_server_shard_recoveries_total", labels),
-            m_frames: self.obs.gauge("rnl_server_shard_frames_total", labels),
         };
         slot.m_up.set(1.0);
-        slot
+        self.slots.push(slot);
+    }
+
+    /// Build shard `k`'s server: replayed from its own journal when the
+    /// federation is durable (an empty journal is a fresh start with the
+    /// journal installed), configured by [`ShardConfig::apply`], and
+    /// re-armed with its half of every cross-shard wire — federation
+    /// state that no shard journal carries.
+    fn boot_shard(&mut self, k: usize, now: Instant) -> Result<RouteServer, ServerError> {
+        let journal: Option<Box<dyn Durability>> = match &self.durability {
+            DurabilityMode::None => None,
+            DurabilityMode::Mem => {
+                let store = self.slots[k]
+                    .store
+                    .get_or_insert_with(|| MemJournal::new().store());
+                Some(Box::new(MemJournal::attached(store.clone())))
+            }
+            DurabilityMode::File(base) => Some(Box::new(FileJournal::open(
+                base.join(format!("shard-{k}")),
+            )?)),
+        };
+        let mut server = match journal {
+            Some(journal) => RouteServer::recover(journal, now)?,
+            None => RouteServer::new(),
+        };
+        self.config.apply(k, &mut server, now);
+        for fed in self.fed_deployments.values() {
+            for &(from, to) in &fed.cross {
+                for (local, remote) in [(from, to), (to, from)] {
+                    if shard_of_router(local.0) == k {
+                        server.add_remote_route(local, remote);
+                    }
+                }
+            }
+        }
+        Ok(server)
+    }
+
+    /// (Re)boot every shard's server through [`Federation::boot_shard`].
+    fn boot_all(&mut self, now: Instant) -> Result<(), ServerError> {
+        for k in 0..self.slots.len() {
+            let server = self.boot_shard(k, now)?;
+            self.slots[k].server = Some(server);
+        }
+        Ok(())
+    }
+
+    /// Apply `f` to every live shard's server.
+    fn each_live(&mut self, mut f: impl FnMut(&mut RouteServer)) {
+        for server in self.slots.iter_mut().filter_map(|s| s.server.as_mut()) {
+            f(server);
+        }
     }
 
     // -- configuration ------------------------------------------------
 
     /// Give every shard its own in-memory journal (the backing store
     /// survives [`Federation::kill_shard`], so recovery is crash-local
-    /// and real).
+    /// and real). Every shard reboots onto its journal, so call this
+    /// before attaching sessions.
     pub fn enable_mem_durability(&mut self, now: Instant) -> Result<(), ServerError> {
-        for slot in &mut self.slots {
-            let journal = MemJournal::new();
-            slot.store = Some(journal.store());
-            if let Some(server) = slot.server.as_mut() {
-                server.set_durability(Box::new(journal), now)?;
-            }
-        }
         self.durability = DurabilityMode::Mem;
-        Ok(())
+        self.boot_all(now)
     }
 
     /// Give every shard its own on-disk journal under
-    /// `base/shard-<k>/` — the `--state-dir` layout of the sharded
-    /// `routeserver` binary. `base/federation.rnl` holds the
+    /// `base/shard-<k>/` — the `--state-dir` layout of the `routeserver`
+    /// binary at every shard count. `base/federation.rnl` holds the
     /// federation's own durable state (spanning deployments and their
-    /// cross-shard wires); it is replayed here, after every shard has
-    /// replayed its own journal, so a whole-process restart restores
-    /// the trunk half-wires that no single shard journals.
+    /// cross-shard wires); it is replayed first, so each shard boots
+    /// through its own journal with its trunk half-wires re-armed.
+    ///
+    /// A `base` holding a top-level `journal.rnl` or `snapshot.rnl` is
+    /// refused: that is a single-server state dir from before every
+    /// server became a federation, and booting over it would start
+    /// empty. Its files belong in `base/shard-0/`.
     pub fn enable_file_durability(
         &mut self,
         base: impl Into<PathBuf>,
         now: Instant,
     ) -> Result<(), ServerError> {
         let base = base.into();
-        for (k, slot) in self.slots.iter_mut().enumerate() {
-            let dir = base.join(format!("shard-{k}"));
-            let journal = FileJournal::open(&dir)?;
-            // Boot through recovery, never over it: an empty directory
-            // replays nothing and is a fresh start with a journal
-            // installed; a prior life's directory replays snapshot +
-            // tail back to the pre-crash shard state. (Installing a
-            // journal into the fresh server instead would snapshot the
-            // empty state over whatever the directory held.)
-            let mut server = RouteServer::recover(Box::new(journal), now)?;
-            server.set_router_id_base(k as u32 * SHARD_ID_STRIDE);
-            server.set_enforce_reservations(self.enforce_reservations);
-            if let Some(window) = self.grace_window {
-                server.set_grace_window(window);
-            }
-            slot.state_dir = Some(dir);
-            slot.server = Some(server);
+        if ["journal.rnl", "snapshot.rnl"]
+            .iter()
+            .any(|f| base.join(f).exists())
+        {
+            return Err(ServerError::Durability(format!(
+                "{} holds a single-server journal.rnl/snapshot.rnl; \
+                 move both files into {}",
+                base.display(),
+                base.join("shard-0").display()
+            )));
         }
         self.durability = DurabilityMode::File(base);
         self.replay_fed_journal();
-        self.reinstall_remote_routes();
-        Ok(())
+        // Boot through recovery, never over it: an empty directory
+        // replays nothing; a prior life's replays snapshot + tail back
+        // to the pre-crash shard state.
+        self.boot_all(now)
     }
 
     /// Append one record to the federation journal (file mode only —
     /// in mem mode the `Federation` value itself survives shard kills,
     /// so there is nothing to make durable). Spanning deploys are rare
     /// control-plane ops, so every append pays a full sync.
-    fn append_fed_journal(&self, record: &Json) {
+    fn append_fed_journal(&self, record: &Json) -> Result<(), ServerError> {
         let DurabilityMode::File(base) = &self.durability else {
-            return;
+            return Ok(());
         };
-        let append = std::fs::OpenOptions::new()
+        use std::io::Write as _;
+        let mut line = record.encode();
+        line.push('\n');
+        std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(base.join(FED_JOURNAL));
-        if let Ok(mut file) = append {
-            use std::io::Write as _;
-            let _ = file.write_all(record.encode().as_bytes());
-            let _ = file.write_all(b"\n");
-            let _ = file.sync_all();
-        }
+            .open(base.join(FED_JOURNAL))
+            .and_then(|mut file| {
+                file.write_all(line.as_bytes())?;
+                file.sync_all()
+            })
+            .map_err(|e| ServerError::Durability(format!("{FED_JOURNAL}: {e}")))
     }
 
     /// Rebuild `fed_deployments` and the id counter from
@@ -708,42 +637,47 @@ impl Federation {
         self.next_fed_id = self.next_fed_id.max(max_id + 1);
     }
 
-    /// Re-install every live shard's half of every cross-shard wire
-    /// from the (replayed) federation deployments.
-    fn reinstall_remote_routes(&mut self) {
-        for fed in self.fed_deployments.values() {
-            for &(from, to) in &fed.cross {
-                for (local, remote) in [(from, to), (to, from)] {
-                    let shard = shard_of_router(local.0);
-                    if let Some(server) = self.slots.get_mut(shard).and_then(|s| s.server.as_mut())
-                    {
-                        server.add_remote_route(local, remote);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Flap-grace window applied to every shard (present and future).
+    /// Flap-grace window of every shard (present and future).
     pub fn set_grace_window(&mut self, window: Duration) {
-        self.grace_window = Some(window);
-        for slot in &mut self.slots {
-            if let Some(server) = slot.server.as_mut() {
-                server.set_grace_window(window);
-            }
-        }
+        self.config.grace_window = window;
+        self.each_live(|server| server.set_grace_window(window));
     }
 
-    /// Reservation enforcement on every shard. Spanning deploys place
-    /// their per-shard parts with the forced path, so the calendar is
-    /// only authoritative for single-shard deployments.
+    /// Reservation enforcement on every shard (on by default, as on a
+    /// lone [`RouteServer`]). A deployment is gated once, by the
+    /// calendar of the design's home shard — where `reserve` books all
+    /// of its routers — and its per-shard parts are then placed without
+    /// a second check.
     pub fn set_enforce_reservations(&mut self, on: bool) {
-        self.enforce_reservations = on;
-        for slot in &mut self.slots {
-            if let Some(server) = slot.server.as_mut() {
-                server.set_enforce_reservations(on);
-            }
-        }
+        self.config.enforce_reservations = on;
+        self.each_live(|server| server.set_enforce_reservations(on));
+    }
+
+    /// Admission-control policy of every shard (`--hwm`,
+    /// `--op-deadline`); live shards' buckets reset to full.
+    pub fn set_overload_config(&mut self, cfg: OverloadConfig, now: Instant) {
+        self.config.overload = cfg;
+        self.each_live(|server| server.set_overload_config(cfg, now));
+    }
+
+    /// Interval between each shard's compacting snapshots.
+    pub fn set_snapshot_every(&mut self, every: Duration) {
+        self.config.snapshot_every = every;
+        self.each_live(|server| server.set_snapshot_every(every));
+    }
+
+    /// When each shard's journal appends reach stable storage.
+    pub fn set_fsync_policy(&mut self, policy: FsyncPolicy) {
+        self.config.fsync = policy;
+        self.each_live(|server| server.set_fsync_policy(policy));
+    }
+
+    /// Mesh negotiation on every shard. Wires whose two sessions landed
+    /// on the same shard get direct paths; cross-shard wires stay on
+    /// the supervised trunks.
+    pub fn set_mesh_enabled(&mut self, on: bool) {
+        self.config.mesh = on;
+        self.each_live(|server| server.set_mesh_enabled(on));
     }
 
     /// Bounded trunk backlog: per-poll byte budget and what to do when
@@ -848,21 +782,6 @@ impl Federation {
         }
     }
 
-    /// Aggregate relay counters across live shards.
-    pub fn total_stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
-        for slot in &self.slots {
-            if let Some(server) = slot.server.as_ref() {
-                let s = server.stats();
-                total.frames_routed += s.frames_routed;
-                total.frames_unrouted += s.frames_unrouted;
-                total.bytes_relayed += s.bytes_relayed;
-                total.frames_injected += s.frames_injected;
-            }
-        }
-        total
-    }
-
     // -- session attachment -------------------------------------------
 
     /// Attach a dialed transport to `shard` (the caller routed the dial
@@ -916,60 +835,20 @@ impl Federation {
     }
 
     /// Bring a killed shard back by replaying its own journal
-    /// (snapshot + tail), then re-arming federation-owned state the WAL
-    /// does not carry: config knobs, the id base, and remote routes for
-    /// cross-shard links of spanning deployments.
+    /// (snapshot + tail); [`Federation::boot_shard`] re-arms what the
+    /// WAL does not carry (config, the id base, cross-shard routes).
     pub fn recover_shard(&mut self, shard: usize, now: Instant) -> Result<(), ServerError> {
-        let base = shard as u32 * SHARD_ID_STRIDE;
-        let journal: Option<Box<dyn Durability>> = {
-            let Some(slot) = self.slots.get(shard) else {
-                return Ok(());
-            };
-            if slot.server.is_some() {
-                return Ok(());
-            }
-            match &self.durability {
-                DurabilityMode::Mem => slot.store.as_ref().map(|store| {
-                    Box::new(MemJournal::attached(store.clone())) as Box<dyn Durability>
-                }),
-                DurabilityMode::File(_) => match &slot.state_dir {
-                    Some(dir) => {
-                        Some(Box::new(FileJournal::open(dir.clone())?) as Box<dyn Durability>)
-                    }
-                    None => None,
-                },
-                DurabilityMode::None => None,
-            }
-        };
-        let mut server = match journal {
-            Some(journal) => RouteServer::recover(journal, now)?,
-            // Without durability there is nothing to replay: the shard
-            // comes back empty (sessions re-register via supervisors).
-            None => RouteServer::new(),
-        };
-        server.set_router_id_base(base);
-        server.set_enforce_reservations(self.enforce_reservations);
-        if let Some(window) = self.grace_window {
-            server.set_grace_window(window);
+        if self.slots.get(shard).is_none_or(|s| s.server.is_some()) {
+            return Ok(());
         }
-        // Remote routes are federation state, not journaled per shard:
-        // re-install the recovered shard's half of every cross link.
-        for fed in self.fed_deployments.values() {
-            for &(from, to) in &fed.cross {
-                if shard_of_router(from.0) == shard {
-                    server.add_remote_route(from, to);
-                }
-                if shard_of_router(to.0) == shard {
-                    server.add_remote_route(to, from);
-                }
-            }
-        }
-        if let Some(slot) = self.slots.get_mut(shard) {
-            slot.server = Some(server);
-            slot.down_until = None;
-            slot.m_recoveries.inc();
-            slot.m_up.set(1.0);
-        }
+        // Without durability there is nothing to replay: the shard
+        // comes back empty (sessions re-register via supervisors).
+        let server = self.boot_shard(shard, now)?;
+        let slot = &mut self.slots[shard];
+        slot.server = Some(server);
+        slot.down_until = None;
+        slot.m_recoveries.inc();
+        slot.m_up.set(1.0);
         // The shard is back: trunks touching it may redial immediately.
         for (&(a, b), trunk) in self.trunks.iter_mut() {
             if (a == shard || b == shard) && trunk.link.is_none() {
@@ -988,31 +867,18 @@ impl Federation {
     /// completed move is observed as a rebalance duration.
     pub fn add_shard(&mut self, now: Instant) -> Result<usize, ServerError> {
         let k = self.slots.len();
-        let mut slot = self.make_slot(k);
-        match &self.durability {
-            DurabilityMode::Mem => {
-                let journal = MemJournal::new();
-                slot.store = Some(journal.store());
-                if let Some(server) = slot.server.as_mut() {
-                    server.set_durability(Box::new(journal), now)?;
-                }
+        self.push_slot();
+        match self.boot_shard(k, now) {
+            Ok(server) => self.slots[k].server = Some(server),
+            Err(e) => {
+                self.slots.pop();
+                return Err(e);
             }
-            DurabilityMode::File(base) => {
-                let dir = base.join(format!("shard-{k}"));
-                let journal = FileJournal::open(&dir)?;
-                slot.state_dir = Some(dir);
-                if let Some(server) = slot.server.as_mut() {
-                    server.set_durability(Box::new(journal), now)?;
-                }
-            }
-            DurabilityMode::None => {}
         }
-        self.slots.push(slot);
         self.ring.add_shard(k);
         for other in 0..k {
             self.seed = lcg(self.seed);
-            let trunk = Trunk::new(other, k, self.seed, &self.obs);
-            let mut trunk = trunk;
+            let mut trunk = Trunk::new(other, k, self.seed, &self.obs);
             trunk.hwm = self.trunk_hwm;
             trunk.policy = self.trunk_policy;
             trunk.next_attempt = Some(now);
@@ -1122,11 +988,6 @@ impl Federation {
         self.pump_out(now);
         self.pump_in(now);
         self.complete_rebalances(now);
-        for slot in &self.slots {
-            if let Some(server) = slot.server.as_ref() {
-                slot.m_frames.set(server.stats().frames_routed as f64);
-            }
-        }
     }
 
     fn supervise_trunks(&mut self, now: Instant) {
@@ -1255,8 +1116,10 @@ impl Federation {
     // -- spanning deployments -----------------------------------------
 
     /// Deploy a saved design whose devices may live on several shards.
-    /// The full design is linted on its home shard, split into
-    /// per-shard sub-designs placed with the forced path, and every
+    /// The home shard's calendar gates the whole design once (that is
+    /// where `reserve` booked every router, foreign ones included); the
+    /// design is then split into per-shard sub-designs, each linted
+    /// against its host shard's inventory and placed there, and every
     /// cross-shard link gets a remote route on both owners so the relay
     /// hot path re-addresses matrix misses onto the trunk. Returns a
     /// federation-level deployment id for [`Federation::teardown_fed`].
@@ -1305,16 +1168,14 @@ impl Federation {
             } else {
                 server.deploy(user, design_name, now)?
             };
-            let id = self.next_fed_id;
-            self.next_fed_id += 1;
-            let fed = FedDeployment {
+            return self.commit_deployment(FedDeployment {
                 parts: vec![(home, part)],
                 cross: Vec::new(),
-            };
-            self.append_fed_journal(&fed_deployment_to_json(id, &fed));
-            self.fed_deployments.insert(id, fed);
-            return Ok(id);
+            });
         }
+        let routers: Vec<RouterId> = design.devices().collect();
+        self.server_mut(home)?
+            .check_reservation(user, &routers, now)?;
         let mut local_links: BTreeMap<usize, Vec<Link>> = BTreeMap::new();
         let mut cross = Vec::new();
         for &link in design.links() {
@@ -1326,7 +1187,10 @@ impl Federation {
                 cross.push(link);
             }
         }
-        let mut parts: Vec<(usize, DeploymentId)> = Vec::new();
+        let mut placed = FedDeployment {
+            parts: Vec::new(),
+            cross: Vec::new(),
+        };
         for (&s, routers) in &groups {
             let mut sub = Design::new(&format!("{design_name}@shard{s}"));
             for &router in routers {
@@ -1340,33 +1204,21 @@ impl Federation {
             // The full design spans inventories, so the lint gate runs
             // per shard: each sub-design against the inventory and
             // saved configs of the shard that will host it.
-            let placed = match self.server_mut(s) {
-                Ok(server) => {
-                    if !force {
-                        let report = server.analyze_design(&sub);
-                        if report.count(rnl_analysis::Severity::Error) > 0 {
-                            Err(ServerError::Lint(report.render()))
-                        } else {
-                            server.deploy_design_forced(user, &sub, now)
-                        }
-                    } else {
-                        server.deploy_design_forced(user, &sub, now)
+            let part = self.server_mut(s).and_then(|server| {
+                if !force {
+                    let report = server.analyze_design(&sub);
+                    if report.has_errors() {
+                        return Err(ServerError::Lint(report.render()));
                     }
                 }
-                Err(e) => Err(e),
-            };
-            match placed {
-                Ok(part) => parts.push((s, part)),
+                server.place_design(user, &sub, now)
+            });
+            match part {
+                Ok(part) => placed.parts.push((s, part)),
                 Err(e) => {
                     // Roll back what already landed so a half-placed
                     // spanning deployment never lingers.
-                    for (ps, pid) in parts {
-                        if let Some(slot) = self.slots.get_mut(ps) {
-                            if let Some(server) = slot.server.as_mut() {
-                                server.teardown(pid);
-                            }
-                        }
-                    }
+                    self.dismantle(&placed);
                     return Err(e);
                 }
             }
@@ -1380,18 +1232,49 @@ impl Federation {
                 server.add_remote_route(end_b, end_a);
             }
         }
+        placed.cross = cross;
+        self.commit_deployment(placed)
+    }
+
+    /// Journal a placed deployment under the next federation id, or
+    /// roll it back: a deployment the federation journal does not hold
+    /// could never be torn down by id after a restart.
+    fn commit_deployment(&mut self, fed: FedDeployment) -> Result<u64, ServerError> {
         let id = self.next_fed_id;
+        if let Err(e) = self.append_fed_journal(&fed_deployment_to_json(id, &fed)) {
+            self.dismantle(&fed);
+            return Err(e);
+        }
         self.next_fed_id += 1;
-        let fed = FedDeployment { parts, cross };
-        self.append_fed_journal(&fed_deployment_to_json(id, &fed));
         self.fed_deployments.insert(id, fed);
         Ok(id)
+    }
+
+    /// Remove a deployment's remote routes, then its per-shard parts;
+    /// `true` when every part was torn down.
+    fn dismantle(&mut self, fed: &FedDeployment) -> bool {
+        for &(from, to) in &fed.cross {
+            for end in [from, to] {
+                if let Ok(server) = self.server_mut(shard_of_router(end.0)) {
+                    server.remove_remote_route(end);
+                }
+            }
+        }
+        let mut all = true;
+        for &(shard, part) in &fed.parts {
+            all &= self
+                .server_mut(shard)
+                .is_ok_and(|server| server.teardown(part));
+        }
+        all
     }
 
     /// Tear down a federation-level deployment: remove its remote
     /// routes, then its per-shard parts. Every involved shard must be
     /// up — otherwise nothing is touched and the caller gets a
-    /// retryable [`ServerError::ShardDown`].
+    /// retryable [`ServerError::ShardDown`]. If the federation journal
+    /// cannot record the teardown the id stays registered, so a retry
+    /// journals it again.
     pub fn teardown_fed(&mut self, id: u64, now: Instant) -> Result<bool, ServerError> {
         let _ = now;
         let Some(fed) = self.fed_deployments.get(&id).cloned() else {
@@ -1405,27 +1288,11 @@ impl Federation {
                 });
             }
         }
-        for &(from, to) in &fed.cross {
-            if let Ok(server) = self.server_mut(shard_of_router(from.0)) {
-                server.remove_remote_route(from);
-            }
-            if let Ok(server) = self.server_mut(shard_of_router(to.0)) {
-                server.remove_remote_route(to);
-            }
-        }
-        let mut all = true;
-        for &(shard, part) in &fed.parts {
-            match self.server_mut(shard) {
-                Ok(server) => {
-                    all &= server.teardown(part);
-                }
-                Err(_) => all = false,
-            }
-        }
+        let all = self.dismantle(&fed);
         self.append_fed_journal(&Json::obj([
             ("op", Json::str("teardown")),
             ("id", Json::u64_str(id)),
-        ]));
+        ]))?;
         self.fed_deployments.remove(&id);
         Ok(all)
     }
@@ -1449,101 +1316,10 @@ mod tests {
         Instant::EPOCH + Duration::from_millis(ms)
     }
 
-    /// Attach a two-host lab to a shard; returns the RIS to drive.
-    fn lab_on_shard(server: &mut RouteServer, seed: u64, base: u32) -> Ris {
-        server.set_enforce_reservations(false);
-        let (ris_side, server_side) = mem_pair_perfect(seed);
-        server.attach(Box::new(server_side));
-        let mut ris = Ris::new(&format!("pc{base}"), Box::new(ris_side));
-        let mut h1 = Host::new("a", base);
-        h1.set_ip("10.0.0.1/24".parse().unwrap());
-        let mut h2 = Host::new("b", base + 1);
-        h2.set_ip("10.0.0.2/24".parse().unwrap());
-        ris.add_device(Box::new(h1), "host a");
-        ris.add_device(Box::new(h2), "host b");
-        ris.join_labs(t(0)).unwrap();
-        server.poll(t(0));
-        ris.poll(t(0)).unwrap();
-        let r1 = ris.router_id(0).unwrap();
-        let r2 = ris.router_id(1).unwrap();
-        let mut d = Design::new("pair");
-        d.add_device(r1);
-        d.add_device(r2);
-        d.connect((r1, PortId(0)), (r2, PortId(0))).unwrap();
-        server.deploy_design("user", &d, t(0)).unwrap();
-        ris
-    }
-
-    #[test]
-    fn shards_are_isolated() {
-        let mut set = ShardSet::new();
-        let mut ris_a = lab_on_shard(set.shard_mut("alice"), 1, 10);
-        let mut ris_b = lab_on_shard(set.shard_mut("bob"), 2, 20);
-        assert_eq!(set.len(), 2);
-        // Drive pings on both shards.
-        ris_a
-            .device_mut(0)
-            .unwrap()
-            .console("ping 10.0.0.2 count 2", t(0));
-        ris_b
-            .device_mut(0)
-            .unwrap()
-            .console("ping 10.0.0.2 count 2", t(0));
-        for ms in (0..4000).step_by(100) {
-            ris_a.poll(t(ms)).unwrap();
-            ris_b.poll(t(ms)).unwrap();
-            set.poll_all(t(ms));
-            ris_a.poll(t(ms)).unwrap();
-            ris_b.poll(t(ms)).unwrap();
-        }
-        let out = ris_a.device_mut(0).unwrap().console("show ping", t(4000));
-        assert!(out.contains("2 received"), "alice's shard: {out}");
-        let out = ris_b.device_mut(0).unwrap().console("show ping", t(4000));
-        assert!(out.contains("2 received"), "bob's shard: {out}");
-        // Both shards routed frames; totals aggregate.
-        let total = set.total_stats();
-        assert!(total.frames_routed >= 8);
-        assert!(set.shard("alice").unwrap().stats().frames_routed > 0);
-    }
-
-    #[test]
-    fn run_parallel_returns_all_shards() {
-        let mut set = ShardSet::new();
-        set.shard_mut("a");
-        set.shard_mut("b");
-        set.shard_mut("c");
-        let set = set.run_parallel(10, Duration::from_millis(1));
-        assert_eq!(set.len(), 3);
-    }
-
-    #[test]
-    fn panicked_shard_recovers_from_its_wal() {
-        let mut set = ShardSet::new();
-        // Give the doomed shard durable state worth recovering.
-        {
-            let server = set.shard_mut("doomed");
-            server
-                .set_durability(Box::new(MemJournal::new()), t(0))
-                .unwrap();
-            let mut d = Design::new("keepme");
-            d.add_device(RouterId(1));
-            server.save_design(d);
-        }
-        set.shard_mut("healthy");
-        set.panic_shard = Some("doomed".to_string());
-        let outcome = set.run_parallel_recovering(5, Duration::from_millis(1));
-        // The panic is surfaced, not swallowed...
-        assert_eq!(outcome.panicked, vec!["doomed".to_string()]);
-        // ...and both shards come back — the doomed one rebuilt from
-        // its journal, design intact.
-        assert_eq!(outcome.set.len(), 2);
-        let doomed = outcome.set.shard("doomed").unwrap();
-        assert!(doomed.designs().load("keepme").is_some());
-    }
-
     /// A federation whose shard-0 and shard-1 each host one half of a
-    /// cross-shard pair design. Returns `(fed, ris0, ris1, fed_id)`.
-    fn cross_shard_rig(seed: u64) -> (Federation, Ris, Ris, u64) {
+    /// cross-shard pair design `span`, saved on its home shard but not
+    /// yet reserved or deployed. Returns `(fed, ris0, ris1)`.
+    fn cross_shard_fed(seed: u64) -> (Federation, Ris, Ris) {
         let mut fed = Federation::new(2, seed);
         fed.enable_mem_durability(t(0)).unwrap();
         let mut rises = Vec::new();
@@ -1567,13 +1343,24 @@ mod tests {
         d.add_device(r0);
         d.add_device(r1);
         d.connect((r0, PortId(0)), (r1, PortId(0))).unwrap();
-        // Save on the design's home shard, deploy through the
-        // federation.
         let home = fed.shard_of_principal("span").unwrap();
         fed.server_mut(home).unwrap().save_design(d);
-        let fed_id = fed.deploy_spanning("user", "span", false, t(0)).unwrap();
         let mut it = rises.into_iter();
         let (ris0, ris1) = (it.next().unwrap(), it.next().unwrap());
+        (fed, ris0, ris1)
+    }
+
+    /// [`cross_shard_fed`] with `span` reserved on its home shard and
+    /// deployed through the federation. Returns `(fed, ris0, ris1,
+    /// fed_id)`.
+    fn cross_shard_rig(seed: u64) -> (Federation, Ris, Ris, u64) {
+        let (mut fed, ris0, ris1) = cross_shard_fed(seed);
+        let home = fed.shard_of_principal("span").unwrap();
+        fed.server_mut(home)
+            .unwrap()
+            .reserve_design("user", "span", t(0), t(600_000))
+            .unwrap();
+        let fed_id = fed.deploy_spanning("user", "span", false, t(0)).unwrap();
         (fed, ris0, ris1, fed_id)
     }
 
@@ -1817,5 +1604,197 @@ mod tests {
         assert!(snap
             .get("rnl_server_frames_routed_total", &[("shard", "1")])
             .is_some());
+    }
+
+    /// A fresh per-test directory under the system temp dir.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "rnl-shard-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// One shard hosting one RIS with two hosts; returns the RIS and a
+    /// saved (unreserved) pair design `pair` on that shard.
+    fn pair_on_shard(fed: &mut Federation, shard: usize) -> Ris {
+        let (ris_side, server_side) = mem_pair_perfect(0xab + shard as u64);
+        fed.attach_to(shard, Box::new(server_side)).unwrap();
+        let mut ris = Ris::new("pc-pair", Box::new(ris_side));
+        for (i, ip) in ["10.0.0.1/24", "10.0.0.2/24"].into_iter().enumerate() {
+            let mut host = Host::new("h", i as u32);
+            host.set_ip(ip.parse().unwrap());
+            ris.add_device(Box::new(host), "host");
+        }
+        ris.join_labs(t(0)).unwrap();
+        fed.poll(t(0));
+        ris.poll(t(0)).unwrap();
+        let (r1, r2) = (ris.router_id(0).unwrap(), ris.router_id(1).unwrap());
+        let mut d = Design::new("pair");
+        d.add_device(r1);
+        d.add_device(r2);
+        d.connect((r1, PortId(0)), (r2, PortId(0))).unwrap();
+        fed.server_mut(shard).unwrap().save_design(d);
+        ris
+    }
+
+    #[test]
+    fn recovered_shard_keeps_every_setting() {
+        let dir = scratch_dir("config");
+        let overload = crate::overload::OverloadConfig {
+            capacity: 17,
+            refill_per_sec: 17,
+            op_deadline: Duration::from_secs(3),
+            ..Default::default()
+        };
+        let mut fed = Federation::new(2, 0xc0f);
+        fed.set_grace_window(Duration::from_secs(42));
+        fed.set_enforce_reservations(false);
+        fed.set_overload_config(overload, t(0));
+        fed.set_snapshot_every(Duration::from_secs(7));
+        fed.set_fsync_policy(FsyncPolicy::GroupCommit);
+        fed.set_mesh_enabled(true);
+        fed.enable_file_durability(&dir, t(0)).unwrap();
+        let configured = |fed: &Federation, k: usize, mesh: bool| {
+            let server = fed.server(k).unwrap();
+            assert_eq!(server.grace_window(), Duration::from_secs(42));
+            assert!(!server.reservations_enforced());
+            assert_eq!(server.overload_config(), overload);
+            assert_eq!(server.snapshot_every(), Duration::from_secs(7));
+            assert_eq!(server.fsync_policy(), Some(FsyncPolicy::GroupCommit));
+            assert_eq!(server.mesh_enabled(), mesh);
+        };
+        for k in 0..2 {
+            configured(&fed, k, true);
+        }
+        // `--mesh`-style config survives a kill + journal recovery…
+        fed.kill_shard(1, None, t(10));
+        fed.recover_shard(1, t(20)).unwrap();
+        configured(&fed, 1, true);
+        // …and so does a runtime `set_mesh` through the front tier.
+        let off =
+            crate::web::handle_sharded(&mut fed, crate::web::Request::SetMesh { on: false }, t(30));
+        assert!(matches!(off, crate::web::Response::Ok));
+        fed.kill_shard(0, None, t(40));
+        fed.recover_shard(0, t(50)).unwrap();
+        for k in 0..2 {
+            configured(&fed, k, false);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn federation_of_one_refuses_an_unreserved_deploy() {
+        let mut fed = Federation::new(1, 0x1);
+        let _ris = pair_on_shard(&mut fed, 0);
+        assert!(fed.server(0).unwrap().reservations_enforced());
+        assert!(matches!(
+            fed.deploy_spanning("user", "pair", false, t(0)),
+            Err(ServerError::Reservation(_))
+        ));
+        // The same refusal a lone `RouteServer::new()` gives.
+        let server = fed.server_mut(0).unwrap();
+        assert!(matches!(
+            server.deploy("user", "pair", t(0)),
+            Err(ServerError::Reservation(_))
+        ));
+        server
+            .reserve_design("user", "pair", t(0), t(1000))
+            .unwrap();
+        assert!(fed.deploy_spanning("user", "pair", false, t(0)).is_ok());
+    }
+
+    #[test]
+    fn spanning_deploy_is_gated_once_by_the_home_calendar() {
+        let (mut fed, _ris0, _ris1) = cross_shard_fed(0x5a);
+        let home = fed.shard_of_principal("span").unwrap();
+        let deployed = |fed: &Federation| {
+            (0..2)
+                .map(|k| fed.server(k).unwrap().deployments().count())
+                .sum::<usize>()
+        };
+        // No reservation anywhere: refused before any part is placed.
+        assert!(matches!(
+            fed.deploy_spanning("user", "span", false, t(0)),
+            Err(ServerError::Reservation(_))
+        ));
+        assert_eq!(deployed(&fed), 0);
+        // A booking on the other shard's calendar does not count: the
+        // design's home calendar is the one that gates it.
+        let routers: Vec<RouterId> = fed
+            .server(home)
+            .unwrap()
+            .designs()
+            .load("span")
+            .unwrap()
+            .devices()
+            .collect();
+        fed.server_mut(1 - home)
+            .unwrap()
+            .calendar_mut()
+            .reserve("user", &routers, t(0), t(1000))
+            .unwrap();
+        assert!(matches!(
+            fed.deploy_spanning("user", "span", false, t(0)),
+            Err(ServerError::Reservation(_))
+        ));
+        // Booked on the home shard, every part lands — including the one
+        // on the shard whose own calendar holds no home booking.
+        fed.server_mut(home)
+            .unwrap()
+            .reserve_design("user", "span", t(0), t(1000))
+            .unwrap();
+        let id = fed.deploy_spanning("user", "span", false, t(0)).unwrap();
+        assert_eq!(fed.fed_deployment(id).unwrap().parts.len(), 2);
+        assert_eq!(deployed(&fed), 2);
+        assert!(fed.server(0).unwrap().reservations_enforced());
+        assert!(fed.server(1).unwrap().reservations_enforced());
+    }
+
+    #[test]
+    fn failed_fed_journal_append_rolls_the_deploy_back() {
+        let dir = scratch_dir("fedjournal-fail");
+        let mut fed = Federation::new(1, 0x2);
+        fed.set_enforce_reservations(false);
+        fed.enable_file_durability(&dir, t(0)).unwrap();
+        // A directory where the federation journal file should be makes
+        // every append fail.
+        std::fs::create_dir_all(dir.join(FED_JOURNAL)).unwrap();
+        let _ris = pair_on_shard(&mut fed, 0);
+        assert!(matches!(
+            fed.deploy_spanning("user", "pair", false, t(0)),
+            Err(ServerError::Durability(_))
+        ));
+        let server = fed.server(0).unwrap();
+        assert_eq!(server.deployments().count(), 0);
+        for router in server.designs().load("pair").unwrap().devices() {
+            assert_eq!(
+                server.matrix().owner_of(router),
+                None,
+                "{router:?} still deployed"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn single_server_state_dir_is_refused() {
+        for file in ["journal.rnl", "snapshot.rnl"] {
+            let dir = scratch_dir(&format!("legacy-{file}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(file), b"").unwrap();
+            let mut fed = Federation::new(1, 0x3);
+            match fed.enable_file_durability(&dir, t(0)) {
+                Err(ServerError::Durability(message)) => {
+                    assert!(message.contains("shard-0"), "{message}");
+                }
+                other => panic!("{file}: expected a refusal, got {:?}", other.err()),
+            }
+            // Nothing was created over the old layout.
+            assert!(!dir.join("shard-0").exists());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

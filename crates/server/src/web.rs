@@ -26,6 +26,7 @@ use crate::matrix::DeploymentId;
 use crate::overload::{OpClass, Tier};
 use crate::{RouteServer, ServerError};
 use rnl_net::addr::MacAddr;
+use rnl_obs::PerfScope;
 
 /// A typed API request.
 #[derive(Debug, Clone, PartialEq)]
@@ -378,22 +379,36 @@ fn op_class(request: &Request) -> OpClass {
 /// budget. The whole admit → dispatch path is timed under the class's
 /// `rnl_perf_web_op_<class>_ns` profiling point.
 pub fn handle(server: &mut RouteServer, request: Request, now: Instant) -> Response {
-    let class = op_class(&request);
-    let mut perf = server.web_perf(class).scope();
-    let tier = tier_of(server, &request);
-    let principal = principal_of(server, &request);
-    if let Err(e) = server.admit(tier, &principal, now) {
-        perf.mark("admit");
-        return error_response(&e);
-    }
-    perf.mark("admit");
-    let deadline = server.overload_config().deadline_for(class, now);
+    let (mut perf, deadline) = match admit(server, &request, now) {
+        Ok(admitted) => admitted,
+        Err(shed) => return shed,
+    };
     let response = match handle_inner(server, request, now, deadline) {
         Ok(response) => response,
         Err(e) => error_response(&e),
     };
     perf.mark("dispatch");
     response
+}
+
+/// Admission control for one request on `server`: the open perf scope
+/// (its `admit` phase marked) and the op's deadline, or the `overloaded`
+/// reply of a shed op.
+fn admit(
+    server: &mut RouteServer,
+    request: &Request,
+    now: Instant,
+) -> Result<(PerfScope, crate::overload::Deadline), Response> {
+    let class = op_class(request);
+    let mut perf = server.web_perf(class).scope();
+    let tier = tier_of(server, request);
+    let principal = principal_of(server, request);
+    let admitted = server.admit(tier, &principal, now);
+    perf.mark("admit");
+    match admitted {
+        Ok(()) => Ok((perf, server.overload_config().deadline_for(class, now))),
+        Err(e) => Err(error_response(&e)),
+    }
 }
 
 fn handle_inner(
@@ -993,8 +1008,8 @@ pub fn handle_json(server: &mut RouteServer, request: &str, now: Instant) -> Str
 use crate::shard::{shard_of_router, Federation};
 
 /// One JSON request line against a sharded deployment — the
-/// federation's counterpart of [`handle_json`], used by the binary's
-/// `--shards N` mode.
+/// federation's counterpart of [`handle_json`], and what the
+/// `routeserver` binary answers every API request with.
 pub fn handle_json_sharded(fed: &mut Federation, request: &str, now: Instant) -> String {
     let response = match Json::parse(request) {
         Ok(json) => match parse_request(&json) {
@@ -1099,13 +1114,13 @@ fn add_device_sharded(
     home: usize,
     design: &str,
     router: RouterId,
-) -> Response {
+) -> Result<Response, ServerError> {
     let r_shard = shard_of_router(router);
     if r_shard >= fed.len() {
-        return error_response(&ServerError::UnknownRouter(router));
+        return Err(ServerError::UnknownRouter(router));
     }
     if !fed.is_up(r_shard) {
-        return error_response(&ServerError::ShardDown {
+        return Err(ServerError::ShardDown {
             shard: r_shard,
             retry_after: fed.retry_hint(r_shard),
         });
@@ -1114,18 +1129,39 @@ fn add_device_sharded(
         .server(r_shard)
         .is_some_and(|s| s.inventory().get(router).is_some());
     if !known {
-        return error_response(&ServerError::UnknownRouter(router));
+        return Err(ServerError::UnknownRouter(router));
     }
-    let server = match fed.server_mut(home) {
-        Ok(server) => server,
+    let server = fed.server_mut(home)?;
+    server
+        .designs_mut()
+        .load_mut(design)
+        .ok_or_else(|| ServerError::UnknownDesign(design.to_string()))?
+        .add_device(router);
+    server.journal_saved_design(design);
+    Ok(Response::Ok)
+}
+
+/// Run an op the front tier executes itself (spanning deploy and
+/// teardown, federated add_device) behind [`handle`]'s admission
+/// control and perf scope, charged to shard `at`: a shed op never
+/// touches federation state.
+fn admitted_on(
+    fed: &mut Federation,
+    at: usize,
+    request: &Request,
+    now: Instant,
+    op: impl FnOnce(&mut Federation) -> Result<Response, ServerError>,
+) -> Response {
+    let mut perf = match fed.server_mut(at) {
+        Ok(server) => match admit(server, request, now) {
+            Ok((perf, _deadline)) => perf,
+            Err(shed) => return shed,
+        },
         Err(e) => return error_response(&e),
     };
-    let Some(d) = server.designs_mut().load_mut(design) else {
-        return error_response(&ServerError::UnknownDesign(design.to_string()));
-    };
-    d.add_device(router);
-    server.journal_saved_design(design);
-    Response::Ok
+    let response = op(fed).unwrap_or_else(|e| error_response(&e));
+    perf.mark("dispatch");
+    response
 }
 
 /// The sharded front door: route a web op to the shard that owns it
@@ -1141,14 +1177,21 @@ pub fn handle_sharded(fed: &mut Federation, request: Request, now: Instant) -> R
                 Ok(owner) => owner,
                 Err(e) => return error_response(&e),
             };
-            if let Request::AddDevice { design, router } = &request {
-                return add_device_sharded(fed, owner, design, *router);
-            }
-            match fed.server_mut(owner) {
-                Ok(server) => handle(server, request, now),
-                Err(e) => error_response(&e),
-            }
+            handle_owned(fed, owner, request, now)
         }
+    }
+}
+
+/// Run a single-owner op on its owning shard.
+fn handle_owned(fed: &mut Federation, owner: usize, request: Request, now: Instant) -> Response {
+    if let Request::AddDevice { design, router } = &request {
+        return admitted_on(fed, owner, &request, now, |fed| {
+            add_device_sharded(fed, owner, design, *router)
+        });
+    }
+    match fed.server_mut(owner) {
+        Ok(server) => handle(server, request, now),
+        Err(e) => error_response(&e),
     }
 }
 
@@ -1172,31 +1215,37 @@ pub fn handle_at(fed: &mut Federation, at: usize, request: Request, now: Instant
                     retry_after: fed.retry_hint(owner),
                 });
             }
-            if let Request::AddDevice { design, router } = &request {
-                return add_device_sharded(fed, owner, design, *router);
-            }
-            match fed.server_mut(owner) {
-                Ok(server) => handle(server, request, now),
-                Err(e) => error_response(&e),
-            }
+            handle_owned(fed, owner, request, now)
         }
     }
 }
 
+/// Spanning deploy (admitted on the design's home shard) and teardown
+/// (admitted on the shard of the deployment's first part).
 fn handle_federated(fed: &mut Federation, request: Request, now: Instant) -> Response {
-    match request {
+    match &request {
         Request::Deploy {
             user,
             design,
             force,
-        } => match fed.deploy_spanning(&user, &design, force, now) {
-            Ok(id) => Response::Deployment(id),
+        } => match resolve(fed, &ShardKey::Principal(design.clone())) {
+            Ok(home) => admitted_on(fed, home, &request, now, |fed| {
+                Ok(Response::Deployment(
+                    fed.deploy_spanning(user, design, *force, now)?,
+                ))
+            }),
             Err(e) => error_response(&e),
         },
-        Request::Teardown { deployment } => match fed.teardown_fed(deployment.0, now) {
-            Ok(_) => Response::Ok,
-            Err(e) => error_response(&e),
-        },
+        Request::Teardown { deployment } => {
+            let at = fed
+                .fed_deployment(deployment.0)
+                .and_then(|d| d.parts.first())
+                .map_or(0, |&(shard, _)| shard);
+            admitted_on(fed, at, &request, now, |fed| {
+                fed.teardown_fed(deployment.0, now)?;
+                Ok(Response::Ok)
+            })
+        }
         _ => bad_request("not a federation-level op"),
     }
 }
@@ -1281,16 +1330,14 @@ fn handle_broadcast(fed: &mut Federation, request: Request, now: Instant) -> Res
             }
             Response::StreamSent(None)
         }
-        Request::SetMesh { .. } => {
-            // The mesh toggle is config; every live shard flips. A down
-            // shard re-learns it when the facade re-applies config
-            // after recovery, like every other toggle.
-            for k in live {
-                if let Ok(server) = fed.server_mut(k) {
-                    handle(server, request.clone(), now);
-                }
-            }
-            Response::Ok
+        Request::SetMesh { on } => {
+            // The mesh toggle is federation config: every live shard
+            // flips, and a down shard comes back with it.
+            let at = live.first().copied().unwrap_or(0);
+            admitted_on(fed, at, &request, now, |fed| {
+                fed.set_mesh_enabled(on);
+                Ok(Response::Ok)
+            })
         }
         Request::MeshStatus => {
             let mut enabled = false;
@@ -1327,6 +1374,57 @@ mod tests {
 
     fn t(ms: u64) -> Instant {
         Instant::EPOCH + Duration::from_millis(ms)
+    }
+
+    #[test]
+    fn front_tier_admits_federated_ops_like_handle() {
+        // Deploy, teardown and add_device run at the federation layer;
+        // a storm of them against a federation of one must be shed
+        // exactly as `handle` sheds it on a lone server.
+        let cfg = crate::overload::OverloadConfig {
+            capacity: 8,
+            refill_per_sec: 8,
+            ..Default::default()
+        };
+        let storm = |i: u64| match i % 3 {
+            0 => Request::Deploy {
+                user: "u".to_string(),
+                design: format!("d{i}"),
+                force: false,
+            },
+            1 => Request::Teardown {
+                deployment: DeploymentId(i),
+            },
+            _ => Request::AddDevice {
+                design: format!("d{i}"),
+                router: RouterId(i as u32),
+            },
+        };
+        let code = |response: Response| match response {
+            Response::Error { code, .. } => code,
+            _ => "ok".to_string(),
+        };
+        let mut server = RouteServer::new();
+        server.set_overload_config(cfg, t(0));
+        let mut fed = Federation::new(1, 9);
+        fed.set_overload_config(cfg, t(0));
+        let single: Vec<String> = (0..40)
+            .map(|i| code(handle(&mut server, storm(i), t(0))))
+            .collect();
+        let front: Vec<String> = (0..40)
+            .map(|i| code(handle_sharded(&mut fed, storm(i), t(0))))
+            .collect();
+        assert!(front.iter().any(|c| c == "overloaded"), "{front:?}");
+        assert_eq!(single, front);
+        // Every op, shed or not, ran under the control-class perf scope.
+        let timed = |server: &RouteServer| {
+            server
+                .obs()
+                .quantile("rnl_perf_web_op_control_ns", &[("phase", "total")])
+                .count()
+        };
+        assert_eq!(timed(fed.server(0).unwrap()), 40);
+        assert_eq!(timed(&server), 40);
     }
 
     #[test]
